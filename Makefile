@@ -33,7 +33,8 @@ autoformat:
 # Kernel-fusion demo: runs a CG solve with merged loop nests on and off
 # (bitwise-identical by construction) and prints the per-group merge
 # verdicts from the dependence analyzer, then the static advisor, whose
-# window simulation carries the same verdicts as kernel-merge findings.
+# replay through the runtime reports the same verdicts as kernel-merge
+# findings.
 kernel-fusion:
 	python examples/kernel_fusion_demo.py
 	python -m repro.analysis advise examples/advisor_demo.py -- --maxiter 2

@@ -13,10 +13,10 @@ Run it directly:
 
     python examples/kernel_fusion_demo.py [--k 24] [--maxiter 4]
 
-The static advisor carries the same verdicts in its window simulation
-for any program that runs on the ambient runtime (this demo builds its
-own runtimes to compare configs, so point the advisor at
-``examples/advisor_demo.py`` instead and look for
+The static advisor reports the same verdicts, from its replay through
+the runtime, for any program that runs on the ambient runtime (this
+demo builds its own runtimes to compare configs, so point the advisor
+at ``examples/advisor_demo.py`` instead and look for
 ``kernel-merge-applied`` findings):
 
     python -m repro.analysis advise examples/advisor_demo.py

@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Repository gate: lint + tier-1 suite + validation smoke test.
+# Repository gate: lint + tier-1 suite + benchmark tests + validation
+# smoke test.
 #
 #   make check          # or: sh scripts/check.sh
 #
@@ -20,6 +21,9 @@ fi
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo "== benchmark tests (perfbench/tests) =="
+python -m pytest perfbench/tests -q
 
 echo "== validation smoke (REPRO_VALIDATE=1) =="
 REPRO_VALIDATE=1 python -m pytest -x -q \

@@ -1,32 +1,38 @@
 """Static plan advisor: ahead-of-execution analysis of sparse programs.
 
-The dynamic half of :mod:`repro.analysis` (PR 1) validates an execution
+The dynamic half of :mod:`repro.analysis` validates an execution
 *after* it ran, from its event log.  This module is the static half: it
 takes a :class:`~repro.analysis.plan.PlanTrace` — recorded by abstract
 interpretation of the program in deferred mode, or alongside a real run
-— and *predicts* what the runtime would do on a given machine, before
-any kernel executes:
+— and reports what the runtime would do on a given machine, before any
+kernel executes.
 
-* **partition choices** per launch, by running the actual constraint
-  solver (:func:`repro.constraints.solver.solve_partitions`) over the
-  recorded stores/constraints and replaying the runtime's key-partition
-  reuse rule (§4.1);
+:func:`analyze` replays the plan through a fresh
+:class:`~repro.legion.runtime.Runtime` on the target scope.  Every
+recorded launch goes through :func:`repro.constraints.task.launch_task`,
+the same solve -> ``TaskLaunch`` -> :meth:`Runtime.launch` path
+:meth:`AutoTask.execute` runs, with the kernel body skipped.  Mapping,
+coherence staging, folds, the fusion window, merged-nest costing and
+cost functions all run for real; recorded sync points flush the window
+and recorded frees recycle instances.  The report is read off that
+runtime:
+
+* **partition choices** per launch, from the solved requirements;
 * **communication volume** per channel class (intra-memory / NVLink /
-  NIC), by replaying the mapper's coherence protocol — the same
-  missing/find-source walk :meth:`Runtime.launch` performs — into a
-  predicted :class:`~repro.analysis.events.EventLog`;
-* **per-memory peak footprint**, by replaying instance mapping through
-  a fresh :class:`~repro.legion.instance.InstanceManager` against the
-  target machine's capacities and framebuffer reservations.
+  NIC), from the copy records of the :class:`~repro.analysis.events.EventLog`
+  attached to the replay;
+* **per-memory peak footprint**, from the replay's instance manager;
+* **kernel time** (``profiler.kernel_seconds``) and the **fusion
+  groups** with their kernel-merge verdicts (``fusion_log``).
 
-On top of the predicted execution it runs a lint battery: implicit
-densification, format-conversion round-trips, broadcast-inducing
-constraints, capacity overflow, dead/redundant writes and staging, and
-fusible adjacent launches (groundwork for task fusion).
+On top of the replay it runs a lint battery: implicit densification,
+format-conversion round-trips, broadcast-inducing constraints, capacity
+overflow and spill, dead writes, redundant staging, fusion and
+kernel-merge verdicts, and the resilience pass.
 
-Because the predictor replays the *same* solver and coherence code the
-runtime executes, its predicted copies agree exactly with the recorded
-event log of a real run (``tests/analysis/test_advisor_agreement.py``).
+Because the advisor runs the runtime itself, its copies, peaks and
+kernel time equal those of a real run of the same program
+(``tests/analysis/test_advisor_agreement.py``).
 
 Entry points: :func:`trace` / :func:`analyze` / :func:`advise` as a
 library, ``python -m repro.analysis advise prog.py`` as a CLI.
@@ -39,19 +45,16 @@ runtime layers and imports them freely — which is why the package
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
-from repro.analysis import depend
-from repro.analysis.costmodel import for_task_name
-from repro.analysis.events import EventLog, ReqAccess
+from repro.analysis.depend import REASONS
+from repro.analysis.events import CopyEvent, EventLog
 from repro.analysis.formatsel import FormatAdvice, advise_formats
 from repro.analysis.plan import PlanFree, PlanNote, PlanOp, PlanRegion, PlanTrace
-from repro.constraints.solver import solve_partitions
-from repro.legion import fusion
-from repro.legion.coherence import RegionCoherence
+from repro.constraints.solver import ConstraintError
+from repro.constraints.task import launch_task
 from repro.legion.exceptions import OutOfMemoryError
-from repro.legion.instance import InstanceManager
 from repro.legion.partition import (
     ExplicitPartition,
     ImageByCoordinate,
@@ -60,7 +63,8 @@ from repro.legion.partition import (
     Tiling,
 )
 from repro.legion.privilege import Privilege
-from repro.legion.task import ShardContext
+from repro.legion.runtime import Runtime
+from repro.legion.task import Requirement, TaskLaunch
 from repro.machine import (
     Machine,
     MachineScope,
@@ -69,14 +73,6 @@ from repro.machine import (
     laptop,
     summit,
 )
-
-
-def _compile_cache_stats() -> Dict[str, int]:
-    # Lazy: repro.distal.codegen is import-heavy and only needed when a
-    # report is actually built.
-    from repro.distal.codegen import compile_cache_stats
-
-    return compile_cache_stats()
 
 
 # ----------------------------------------------------------------------
@@ -101,13 +97,10 @@ class AdvisorConfig:
     pressure_warn_fraction: float = 0.85
     # Keep at most this many findings per rule (volume guard).
     max_findings_per_rule: int = 16
-    # Auto-format pass (repro.analysis.formatsel): walk the plan's SpMV
-    # launches, replay ELL / SELL-C-sigma / HYB candidates through the
-    # machine model, and report ranked per-operand recommendations plus
-    # the format lint battery.  Off by default; ``advise --autoformat``
-    # turns it on.  With the pass enabled, an unamortized conversion is
-    # an *error* — the flag asks "should this plan run under
-    # RuntimeConfig.autoformat?", and the answer must gate CI.
+    # Auto-format pass (repro.analysis.formatsel): ranked per-operand
+    # ELL / SELL-C-sigma / HYB recommendations plus the format lints.
+    # Off by default; ``advise --autoformat`` turns it on, and then an
+    # unamortized conversion is an *error* (it gates CI).
     autoformat: bool = False
 
 
@@ -131,14 +124,11 @@ class OpReport:
     count: int
     colors: int
     partitions: Dict[str, str]  # arg name -> partition description
-    flops: float = 0.0
-    bytes: float = 0.0
-    kernel_seconds: float = 0.0
 
 
 @dataclass
 class MemoryReport:
-    """Predicted peak footprint of one memory on the target machine."""
+    """Peak footprint of one memory in the replay on the target machine."""
 
     memory: str
     kind: str
@@ -172,16 +162,15 @@ class Advice:
     est_kernel_seconds: float = 0.0
     est_copy_seconds: float = 0.0
     comm_scale: float = 1.0
-    # The predicted event stream (what the agreement tests compare
-    # against a real run's recorded log).
+    # The replay's event log (see _ReplayLog): what the agreement tests
+    # compare against a real run's recorded log.
     predicted: EventLog = field(default_factory=EventLog)
-    # Predicted fusion groups, in execution order: (sub-launch names,
-    # elided temporaries, kernel-fusion verdict label) per group the
-    # runtime's deferred window will form.  The label is
+    # The replay runtime's ``fusion_log``: (sub-launch names, elided
+    # temporaries, kernel-fusion verdict label) per group its deferred
+    # window formed, in execution order.  The label is
     # ``repro.analysis.depend.verdict_label`` — "single", "merged" or
     # "replay:<reason>".  Empty when the analyzed config has fusion
-    # disabled.  The fusion agreement test compares this against
-    # ``Runtime.fusion_log`` entry for entry.
+    # disabled.
     fusion_groups: List[Tuple[Tuple[str, ...], int, str]] = field(
         default_factory=list
     )
@@ -210,35 +199,12 @@ class Advice:
             "processors": self.processors,
             "launches": self.launches,
             "regions": self.regions,
-            "ops": [
-                {
-                    "name": op.name,
-                    "count": op.count,
-                    "colors": op.colors,
-                    "partitions": op.partitions,
-                    "flops": op.flops,
-                    "bytes": op.bytes,
-                    "kernel_seconds": op.kernel_seconds,
-                }
-                for op in self.ops
-            ],
+            "ops": [asdict(op) for op in self.ops],
             "traffic": self.traffic,
             "memories": [
-                {
-                    "memory": m.memory,
-                    "kind": m.kind,
-                    "node": m.node,
-                    "peak_bytes": m.peak_bytes,
-                    "capacity": m.capacity,
-                    "reserved_bytes": m.reserved_bytes,
-                    "pressure": m.pressure,
-                }
-                for m in self.memories
+                {**asdict(m), "pressure": m.pressure} for m in self.memories
             ],
-            "findings": [
-                {"severity": f.severity, "rule": f.rule, "message": f.message}
-                for f in self.findings
-            ],
+            "findings": [asdict(f) for f in self.findings],
             "est_kernel_seconds": self.est_kernel_seconds,
             "est_copy_seconds": self.est_copy_seconds,
             "comm_scale": self.comm_scale,
@@ -366,536 +332,117 @@ def _fmt_bytes(n: float) -> str:
         if abs(n) < 1024.0 or unit == "TiB":
             return f"{n:.1f}{unit}" if unit != "B" else f"{int(n)}B"
         n /= 1024.0
-    return f"{n:.1f}TiB"
+
+
+_PARTITION_LABELS = (
+    (Replicate, "replicate"),
+    (Tiling, "tile"),
+    (ImageByRange, "image(range)"),
+    (ImageByCoordinate, "image(coord)"),
+    (ExplicitPartition, "explicit"),
+)
 
 
 def describe_partition(partition) -> str:
     """A short human-readable label for a partition choice."""
-    if isinstance(partition, Replicate):
-        return f"replicate x{partition.color_count}"
-    if isinstance(partition, Tiling):
-        return f"tile x{partition.color_count}"
-    if isinstance(partition, ImageByRange):
-        return f"image(range) x{partition.color_count}"
-    if isinstance(partition, ImageByCoordinate):
-        return f"image(coord) x{partition.color_count}"
-    if isinstance(partition, ExplicitPartition):
-        return f"explicit x{partition.color_count}"
+    for cls, label in _PARTITION_LABELS:
+        if isinstance(partition, cls):
+            return f"{label} x{partition.color_count}"
     return type(partition).__name__
 
 
 # ----------------------------------------------------------------------
-# The predictor: replays the plan through solver + mapper, statically
+# The replay: the plan through a fresh runtime, kernels skipped
 # ----------------------------------------------------------------------
-class _Predictor:
-    """Replays a plan against a machine scope without running kernels.
+class _ReplayLog(EventLog):
+    """The replay's event log, lean enough to keep in every report.
 
-    The replay mirrors :meth:`Runtime.launch` operation for operation —
-    same shard-to-processor assignment (``procs[color % len(procs)]``),
-    same per-requirement staging walk, same fold/allreduce structure —
-    so the predicted :class:`EventLog` is copy-for-copy comparable with
-    a recorded one.
+    Task, copy, fold and allreduce events are kept in full: they carry
+    the traffic the report and the agreement tests read.  Shards are
+    only counted (``stats()`` includes them); their accesses would
+    repeat the solved requirements.
     """
 
-    def __init__(self, plan: PlanTrace, scope: MachineScope, config, options):
-        self.plan = plan
-        self.scope = scope
-        self.machine: Machine = scope.machine
-        self.procs = scope.processors
-        self.config = config
-        self.options = options
-        self.instances = InstanceManager(
-            reserved_fb_bytes=config.reserved_fb_bytes,
-            coalesce_slack=config.coalesce_slack,
-            coalescing=config.coalescing,
-            data_scale=config.data_scale,
-            inflight_window=config.inflight_pool_window,
+    shards = 0
+
+    def record_shard(self, *args, **kwargs) -> None:
+        self._next()
+        self.shards += 1
+
+    def stats(self) -> Dict[str, int]:
+        out = super().stats()
+        if self.shards:
+            out["shard"] = self.shards
+        return out
+
+
+_Launches = List[Tuple[PlanOp, List[Requirement]]]
+
+
+def _replay(plan: PlanTrace, scope: MachineScope, config):
+    """Run ``plan`` through a fresh runtime with kernel bodies skipped.
+
+    Returns the runtime, ``(op, solved requirements)`` per replayed
+    launch, and the error that stopped the replay (where a real run
+    would stop too) or None.  Store key partitions start empty, as at
+    trace start, and are restored afterwards; region data is never
+    written.  So repeated replays of one plan are identical.
+    """
+    # Validation's online stale-read check costs O(P^2) per read and
+    # poisons discarded data; the timeline is never read; injected
+    # faults would make the report a function of the fault schedule.
+    rt = Runtime(
+        scope, replace(config, validate=False, profile=False, chaos=None)
+    )
+    rt.event_log = _ReplayLog(name=f"advise:{plan.name}")
+    rt.mem_scale_by_extent = plan.mem_scale_by_extent
+    launches: _Launches = []
+    error = None
+    # Regions created before the trace began: host-resident (attach).
+    created = {e.region.uid for e in plan.events if isinstance(e, PlanRegion)}
+    for region in plan.regions():
+        if region.uid not in created:
+            rt.register_region(region, attached=True)
+    stores = plan.stores()
+    saved = [(store, store.key_partition) for store in stores]
+    for store in stores:
+        store.key_partition = None
+    try:
+        for event in plan.events:
+            if isinstance(event, PlanOp):
+                launches.append((event, _launch(rt, event)))
+            elif isinstance(event, PlanRegion):
+                rt.register_region(event.region, event.attached)
+            elif isinstance(event, PlanFree):
+                rt.free_region(event.region)
+            elif isinstance(event, PlanNote) and event.category == "sync":
+                rt.flush_window()
+        rt.flush_window()
+    except (OutOfMemoryError, ConstraintError) as exc:
+        error = exc
+    finally:
+        for store, key in saved:
+            store.key_partition = key
+    return rt, launches, error
+
+
+def _launch(rt: Runtime, op: PlanOp) -> List[Requirement]:
+    """Issue one recorded op, kernel-less; returns its requirements."""
+    if op.requirements is None:
+        requirements, _ = launch_task(
+            rt, op.name, op.args, op.constraints, op.colors, None,
+            op.cost_fn, op.scalars, op.reduction, op.pointwise,
         )
-        self.log = EventLog(name=f"advise:{plan.name}")
-        self.findings: List[Finding] = []
-        self._finding_counts: Counter = Counter()
-        self.coherence: Dict[int, RegionCoherence] = {}
-        self.regions: Dict[int, object] = {}
-        self.mem_by_uid = {m.uid: m for m in self.machine.memories}
-        self.host_memory = next(
-            m for m in self.machine.memories if m.kind == MemoryKind.SYSMEM
-        )
-        self.traffic: Dict[str, Dict[str, float]] = {}
-        self.op_groups: Dict[tuple, OpReport] = {}
-        # (op, solution, launch_colors) per replayed task op, in order.
-        self.task_ops: List[Tuple[PlanOp, Dict[int, object], int]] = []
-        # Deferred-window simulation: the same summaries and planner the
-        # runtime uses (repro.legion.fusion), driven by the plan stream
-        # plus its "sync" notes, so predicted groups agree exactly with
-        # Runtime.fusion_log.
-        self._sim_window: List[fusion.LaunchSummary] = []
-        self.fusion_groups: List[Tuple[Tuple[str, ...], int, str]] = []
-        # One record per *fused* predicted group, for the kernel-merge
-        # lints: names, verdict label, replay-only reason/detail, and
-        # the modeled compute a merged nest saves (deduplicated reads +
-        # never-rewritten temporaries vs per-kernel accounting).
-        self.merge_reports: List[dict] = []
-        self._oom_memories: set = set()
-        # memory uid -> estimated scaled bytes the runtime would spill
-        # (LRU evictions that relieved a would-be OOM under config.spill).
-        self._spill_bytes: Counter = Counter()
-        self._tick_count = 0.0
-        self.est_kernel_seconds = 0.0
-
-    # -- helpers -------------------------------------------------------
-    def _tick(self) -> float:
-        self._tick_count += 1.0
-        return self._tick_count
-
-    def _finding(self, severity: str, rule: str, message: str) -> None:
-        self._finding_counts[rule] += 1
-        if self._finding_counts[rule] == self.options.max_findings_per_rule + 1:
-            self.findings.append(
-                Finding("note", rule, "further findings suppressed")
-            )
-        if self._finding_counts[rule] <= self.options.max_findings_per_rule:
-            self.findings.append(Finding(severity, rule, message))
-
-    def _coh(self, region) -> RegionCoherence:
-        coh = self.coherence.get(region.uid)
-        if coh is None:
-            # Region created before the trace began: conservatively treat
-            # its contents as host-resident (attach semantics).
-            coh = RegionCoherence()
-            self.coherence[region.uid] = coh
-            if region.rect.volume() > 0:
-                coh.mark_valid(self.host_memory.uid, region.rect, 0.0)
-        return coh
-
-    def _mem_scale(self, region):
-        if region.mem_scale is not None:
-            return region.mem_scale
-        return self.plan.mem_scale_by_extent.get(region.shape[0])
-
-    def _account(self, src_uid: int, dst_uid: int, nbytes: int) -> None:
-        src = self.mem_by_uid[src_uid]
-        dst = self.mem_by_uid[dst_uid]
-        if src.uid == dst.uid:
-            cls = "intra"
-        elif src.node == dst.node:
-            cls = "nvlink"
-        else:
-            cls = "nic"
-        entry = self.traffic.setdefault(
-            cls, {"copies": 0, "bytes": 0.0, "scaled_bytes": 0.0}
-        )
-        entry["copies"] += 1
-        entry["bytes"] += nbytes
-        entry["scaled_bytes"] += nbytes * self.config.effective_comm_scale
-
-    # -- replay --------------------------------------------------------
-    def run(self) -> None:
-        """Replay every plan event (with key partitions reset to the
-        state at trace start, then restored)."""
-        stores = self.plan.stores()
-        saved = [(store, store.key_partition) for store in stores]
-        for store in stores:
-            store.key_partition = None
-        try:
-            for event in self.plan.events:
-                if isinstance(event, PlanOp):
-                    self._replay_op(event)
-                elif isinstance(event, PlanRegion):
-                    self._replay_region(event)
-                elif isinstance(event, PlanFree):
-                    self._replay_free(event)
-                elif isinstance(event, PlanNote) and event.category == "sync":
-                    # The runtime flushes its deferred window at every
-                    # sync point (wait/barrier/host read/scope exit);
-                    # mirror the split.  Frees do NOT flush.
-                    self._close_sim_window()
-                # Other PlanNotes are consumed by the lint passes.
-            self._close_sim_window()
-        finally:
-            for store, key in saved:
-                store.key_partition = key
-
-    def _replay_region(self, event: PlanRegion) -> None:
-        region = event.region
-        self.regions[region.uid] = region
-        coh = RegionCoherence()
-        self.coherence[region.uid] = coh
-        if event.attached and region.rect.volume() > 0:
-            coh.mark_valid(self.host_memory.uid, region.rect, self._tick())
-
-    def _replay_free(self, event: PlanFree) -> None:
-        self.coherence.pop(event.region_uid, None)
-        self.instances.free_region(event.region_uid)
-
-    # -- deferred-window simulation ------------------------------------
-    def _sim_launch(self, op: PlanOp, requirements, launch_colors) -> None:
-        """Feed one replayed launch through the simulated fusion window.
-
-        Mirrors :meth:`Runtime.launch` exactly: fusible launches buffer
-        (overflow flushes), everything else flushes and runs eagerly
-        (and does not appear in the fusion log).
-        """
-        summary = fusion.summarize(
-            op.name,
-            launch_colors,
-            requirements,
+        return requirements
+    # A fill: concrete requirements, no solve, no key-partition update.
+    requirements = [Requirement(*req) for req in op.requirements]
+    rt.launch(
+        TaskLaunch(
+            op.name, requirements, None, op.cost_fn, dict(op.scalars),
             pointwise=op.pointwise,
-            reduction=op.reduction,
         )
-        if op.reduction is not None or not summary.fusible:
-            self._close_sim_window()
-            return
-        self._sim_window.append(summary)
-        if len(self._sim_window) >= self.config.fusion_window:
-            self._close_sim_window()
-
-    def _close_sim_window(self) -> None:
-        if not self._sim_window:
-            return
-        window, self._sim_window = self._sim_window, []
-        local = fusion.local_ids(window)
-        kernel_fusion = bool(getattr(self.config, "kernel_fusion", False))
-        for group in fusion.plan_window(window):
-            names = tuple(window[i].name for i in group.indices)
-            # The same classifier the runtime's flush runs, on the same
-            # summaries — verdicts agree with Runtime.fusion_log.
-            verdict = depend.classify(window, local, group)
-            label = depend.verdict_label(group, verdict, kernel_fusion)
-            self.fusion_groups.append((names, len(group.elide), label))
-            if group.fused:
-                self.merge_reports.append(
-                    self._merge_report(window, group, verdict, label)
-                )
-
-    def _merge_report(self, window, group, verdict, label) -> dict:
-        """Model what body-merging one fused group saves (or why not).
-
-        Replay charges every sub-kernel's full traffic; a merged nest
-        reads each external operand once and writes each output once,
-        with in-group temporaries flowing as nest values.  The delta —
-        at data scale, over the scope's memory bandwidth — is the
-        modeled compute the ``kernel-merge-applied`` lint reports.
-        """
-        replay_bytes = 0.0
-        merged_bytes = 0.0
-        produced: set = set()
-        counted: set = set()
-        for idx in group.indices:
-            summary = window[idx]
-            for acc in summary.accesses:
-                nbytes = (
-                    acc.region.rect.volume() * acc.region.data.dtype.itemsize
-                )
-                replay_bytes += nbytes
-                uid = acc.region.uid
-                if (
-                    acc.privilege.reads
-                    and uid not in produced
-                    and ("r", uid) not in counted
-                ):
-                    counted.add(("r", uid))
-                    merged_bytes += nbytes
-                if acc.privilege.writes:
-                    if ("w", uid) not in counted:
-                        counted.add(("w", uid))
-                        merged_bytes += nbytes
-                    produced.add(uid)
-        saved = max(replay_bytes - merged_bytes, 0.0)
-        scale = self.config.data_scale
-        seconds = (
-            self.procs[0].kernel_time(0.0, saved * scale) if saved else 0.0
-        )
-        return {
-            "names": tuple(window[i].name for i in group.indices),
-            "label": label,
-            "reason": verdict.reason,
-            "detail": verdict.detail,
-            "saved_bytes": saved,
-            "saved_seconds": seconds,
-        }
-
-    def _replay_op(self, op: PlanOp) -> None:
-        if op.requirements is not None:
-            # Fill path: concrete requirements, no solve, no key update.
-            requirements = list(op.requirements)
-            solution = None
-            fold_partition = None
-        else:
-            stores = [store for _, store, _ in op.args]
-            try:
-                solution = solve_partitions(
-                    stores,
-                    op.constraints,
-                    op.colors,
-                    reuse_partitions=self.config.reuse_partitions,
-                    exact_images=self.config.exact_images,
-                )
-            except Exception as exc:
-                self._finding(
-                    "error", "constraints",
-                    f"op {op.name!r}: constraint solving failed: {exc}",
-                )
-                return
-            requirements = []
-            fold_partition = None
-            for name, store, privilege in op.args:
-                partition = solution[store.region.uid]
-                requirements.append((name, store.region, partition, privilege))
-                if privilege == Privilege.REDUCE and fold_partition is None:
-                    if isinstance(store.key_partition, Tiling) and (
-                        store.key_partition.color_count == op.colors
-                    ):
-                        fold_partition = store.key_partition
-                    else:
-                        fold_partition = Tiling.create(store.region, op.colors)
-
-        launch_colors = max(
-            (part.color_count for _, _, part, _ in requirements), default=1
-        )
-        self._sim_launch(op, requirements, launch_colors)
-        self._aggregate(op, requirements, launch_colors)
-        self._launch(op, requirements, fold_partition, launch_colors)
-
-        if solution is not None:
-            # Mirror AutoTask.execute's key-partition updates so later
-            # launches reuse partitions exactly like the runtime (§4.1).
-            for _, store, privilege in op.args:
-                if not privilege.writes:
-                    continue
-                partition = solution[store.region.uid]
-                if privilege == Privilege.REDUCE:
-                    store.set_key_partition(fold_partition)
-                elif isinstance(partition, Tiling):
-                    store.set_key_partition(partition)
-            self.task_ops.append((op, solution, launch_colors))
-            self._lint_broadcast(op, solution, launch_colors)
-
-    def _launch(self, op, requirements, fold_partition, launch_colors) -> None:
-        launch_id = self.log.record_task(op.name, launch_colors)
-        privileges = {name: priv for name, _, _, priv in requirements}
-        scalar_values = {
-            key: getattr(val, "value", val) for key, val in op.scalars.items()
-        }
-        reduce_writes: Dict[str, List[Tuple[Any, Any]]] = {}
-
-        for color in range(launch_colors):
-            proc = self.procs[color % len(self.procs)]
-            memory = proc.memory
-            arrays: Dict[str, Any] = {}
-            rects: Dict[str, Any] = {}
-            for name, region, partition, privilege in requirements:
-                rect = partition.rect(color)
-                arrays[name] = region.data
-                rects[name] = rect
-                if rect.is_empty():
-                    continue
-                self._ensure(memory, region, rect)
-                if privilege.reads:
-                    for piece in partition.pieces(color):
-                        self._stage(region, memory, piece)
-
-            flops, nbytes = self._shard_cost(
-                op, color, launch_colors, arrays, rects, scalar_values,
-                privileges,
-            )
-            scale = self.config.data_scale
-            shard_seconds = proc.kernel_time(
-                float(flops) * scale, float(nbytes) * scale
-            )
-            self.est_kernel_seconds += shard_seconds
-            self._record_shard_cost(
-                op, requirements, launch_colors, flops, nbytes, shard_seconds
-            )
-
-            tick = self._tick()
-            for name, region, _partition, privilege in requirements:
-                rect = rects[name]
-                if rect.is_empty() or not privilege.writes:
-                    continue
-                if privilege == Privilege.REDUCE:
-                    reduce_writes.setdefault(name, []).append((rect, memory))
-                else:
-                    self._coh(region).mark_written(memory.uid, rect, tick)
-
-            self.log.record_shard(
-                launch_id, op.name, color, proc.uid, memory.uid,
-                [
-                    ReqAccess(
-                        name, region.uid, region.name, rects[name],
-                        privilege.value,
-                        tuple(partition.pieces(color))
-                        if privilege.reads else (),
-                    )
-                    for name, region, partition, privilege in requirements
-                ],
-                tick, tick,
-            )
-
-        for name, region, _partition, _privilege in requirements:
-            if name in reduce_writes:
-                self._fold(
-                    op, region, fold_partition, reduce_writes[name],
-                    launch_colors, launch_id,
-                )
-
-        if op.reduction is not None:
-            self.log.record_allreduce(op.reduction, launch_colors)
-
-    def _shard_cost(
-        self, op, color, colors, arrays, rects, scalar_values, privileges
-    ) -> Tuple[float, float]:
-        """One shard's (flops, bytes), via the recorded cost function."""
-        if op.cost_fn is None:
-            return 0.0, 0.0
-        try:
-            ctx = ShardContext(
-                color, colors, arrays, rects, scalar_values, self.config,
-                privileges,
-            )
-            flops, nbytes = op.cost_fn(ctx)
-            return float(flops), float(nbytes)
-        except Exception:
-            # A cost function may touch values the deferred trace never
-            # produced; fall back to the registered kernel model, if any.
-            model = for_task_name(op.name)
-            if model is not None:
-                rect = next(
-                    (r for r in rects.values() if not r.is_empty()), None
-                )
-                if rect is not None:
-                    nnz = rect.volume()
-                    est = model.evaluate(nnz, nnz, nnz)
-                    return est["flops"], est["bytes"]
-            return 0.0, 0.0
-
-    def _record_shard_cost(self, op, requirements, colors, flops, nbytes, seconds):
-        key = self._group_key(op, requirements, colors)
-        report = self.op_groups[key]
-        report.flops += flops
-        report.bytes += nbytes
-        report.kernel_seconds += seconds
-
-    def _ensure(self, memory, region, rect) -> None:
-        try:
-            self.instances.ensure(
-                memory, region.uid, rect, region.itemsize,
-                scale=self._mem_scale(region),
-            )
-            return
-        except OutOfMemoryError as exc:
-            first = exc
-        if getattr(self.config, "spill", False):
-            # The runtime would relieve the pressure instead of dying:
-            # model its policy (pool drain, then LRU eviction) and count
-            # the evicted bytes as estimated spill traffic.  Evicting
-            # clean vs. spilling dirty is a coherence distinction the
-            # static replay cannot make, so every evicted byte is
-            # (pessimistically) charged as spill.
-            state = self.instances.state(memory)
-            state.drain_pool()
-            freed = state.evict_lru(first.requested)
-            try:
-                self.instances.ensure(
-                    memory, region.uid, rect, region.itemsize,
-                    scale=self._mem_scale(region),
-                )
-                self._spill_bytes[memory.uid] += int(freed)
-                return
-            except OutOfMemoryError:
-                pass  # even a drained memory cannot hold it: hard OOM
-        if memory.uid not in self._oom_memories:
-            self._oom_memories.add(memory.uid)
-            hint = (
-                "" if getattr(self.config, "spill", False)
-                else " (config.spill would degrade this to spill traffic)"
-            )
-            self._finding(
-                "error", "capacity",
-                f"memory {_mem_name(memory)} overflows while mapping "
-                f"region {region.name!r}: {first}{hint}",
-            )
-
-    def _stage(self, region, memory, rect) -> None:
-        """The mapper's staging walk: derive the copies a shard needs."""
-        coh = self._coh(region)
-        for piece in coh.missing(memory.uid, rect):
-            for src_uid, frag, _t in coh.find_source(piece, exclude=memory.uid):
-                nbytes = frag.volume() * region.itemsize
-                self.log.record_copy(
-                    region.uid, region.name, frag, src_uid, memory.uid, nbytes
-                )
-                self._account(src_uid, memory.uid, nbytes)
-                coh.mark_valid(memory.uid, frag, self._tick())
-
-    def _fold(
-        self, op, region, fold_partition, writes, launch_colors, launch_id
-    ) -> None:
-        owner = fold_partition or Tiling.create(region, launch_colors)
-        coh = self._coh(region)
-        for color in range(owner.color_count):
-            proc = self.procs[color % len(self.procs)]
-            memory = proc.memory
-            tile = owner.rect(color)
-            if tile.is_empty():
-                continue
-            for rect, src_mem in writes:
-                overlap = tile.intersect(rect)
-                if overlap.is_empty():
-                    continue
-                nbytes = overlap.volume() * region.itemsize
-                if src_mem.uid != memory.uid:
-                    self.log.record_copy(
-                        region.uid, region.name, overlap,
-                        src_mem.uid, memory.uid, nbytes, why="fold",
-                    )
-                    self._account(src_mem.uid, memory.uid, nbytes)
-            coh.mark_written(memory.uid, tile, self._tick())
-            self.log.record_fold(
-                launch_id, op.name, region.uid, region.name, tile, memory.uid
-            )
-
-    # -- aggregation ---------------------------------------------------
-    def _group_key(self, op, requirements, colors) -> tuple:
-        return (
-            op.name, colors,
-            tuple(
-                (name, describe_partition(part))
-                for name, _, part, _ in requirements
-            ),
-        )
-
-    def _aggregate(self, op, requirements, colors) -> None:
-        key = self._group_key(op, requirements, colors)
-        report = self.op_groups.get(key)
-        if report is None:
-            self.op_groups[key] = report = OpReport(
-                name=op.name, count=0, colors=colors,
-                partitions={
-                    name: describe_partition(part)
-                    for name, _, part, _ in requirements
-                },
-            )
-        report.count += 1
-
-    # -- lints run during replay --------------------------------------
-    def _lint_broadcast(self, op, solution, colors) -> None:
-        if colors <= 1:
-            return
-        for name, store, privilege in op.args:
-            partition = solution[store.region.uid]
-            if not isinstance(partition, Replicate) or not privilege.reads:
-                continue
-            extra = store.region.nbytes * (colors - 1) * self.config.data_scale
-            if extra >= self.options.broadcast_warn_bytes:
-                self._finding(
-                    "warning", "broadcast",
-                    f"op {op.name!r}: argument {name!r} "
-                    f"(region {store.region.name!r}, "
-                    f"{_fmt_bytes(store.region.nbytes)}) is replicated to "
-                    f"{colors} shards — {_fmt_bytes(extra)} of extra "
-                    f"transfer/footprint; consider an alignment or image "
-                    f"constraint instead",
-                )
+    )
+    return requirements
 
 
 def _mem_name(memory) -> str:
@@ -903,13 +450,56 @@ def _mem_name(memory) -> str:
     return f"{kind}[{memory.uid}]@node{memory.node}"
 
 
+def _launch_colors(requirements) -> int:
+    return max((req.partition.color_count for req in requirements), default=1)
+
+
+class _Findings:
+    """The lint battery's output, capped per rule."""
+
+    def __init__(self, options: AdvisorConfig):
+        self.options = options
+        self.items: List[Finding] = []
+        self._counts: Counter = Counter()
+
+    def add(self, severity: str, rule: str, message: str) -> None:
+        self._counts[rule] += 1
+        if self._counts[rule] == self.options.max_findings_per_rule + 1:
+            self.items.append(Finding("note", rule, "further findings suppressed"))
+        if self._counts[rule] <= self.options.max_findings_per_rule:
+            self.items.append(Finding(severity, rule, message))
+
+
 # ----------------------------------------------------------------------
-# Post-replay lint passes over the plan + predicted execution
+# Lint passes over the plan and its replay
 # ----------------------------------------------------------------------
-def _lint_notes(predictor: _Predictor, plan: PlanTrace) -> None:
+def _lint_broadcast(out: _Findings, launches: _Launches, config) -> None:
+    """Read operands replicated to every shard of a multi-shard launch."""
+    for op, requirements in launches:
+        colors = _launch_colors(requirements)
+        if op.requirements is not None or colors <= 1:
+            continue
+        for req in requirements:
+            if not isinstance(req.partition, Replicate) or not req.privilege.reads:
+                continue
+            region = req.region
+            extra = region.nbytes * (colors - 1) * config.data_scale
+            if extra >= out.options.broadcast_warn_bytes:
+                out.add(
+                    "warning", "broadcast",
+                    f"op {op.name!r}: argument {req.name!r} "
+                    f"(region {region.name!r}, "
+                    f"{_fmt_bytes(region.nbytes)}) is replicated to "
+                    f"{colors} shards — {_fmt_bytes(extra)} of extra "
+                    f"transfer/footprint; consider an alignment or image "
+                    f"constraint instead",
+                )
+
+
+def _lint_notes(out: _Findings, plan: PlanTrace, config) -> None:
     """Densification and conversion-churn findings from library notes."""
-    options = predictor.options
-    scale = predictor.config.data_scale
+    options = out.options
+    scale = config.data_scale
     ancestry: Dict[int, List[str]] = {}  # object id -> format chain
     seen_conversions: Counter = Counter()
     for note in plan.notes:
@@ -919,7 +509,7 @@ def _lint_notes(predictor: _Predictor, plan: PlanTrace) -> None:
             severity = (
                 "error" if nbytes >= options.densify_error_bytes else "warning"
             )
-            predictor._finding(
+            out.add(
                 severity, "densify",
                 f"{info.get('where', 'operation')} materializes a dense "
                 f"{info.get('shape')} array ({_fmt_bytes(nbytes)} scaled) "
@@ -935,7 +525,7 @@ def _lint_notes(predictor: _Predictor, plan: PlanTrace) -> None:
             if dst_id is not None:
                 ancestry[dst_id] = chain
             if len(chain) >= 3 and chain[-1] in chain[:-1]:
-                predictor._finding(
+                out.add(
                     "warning", "convert-roundtrip",
                     f"format round-trip {' -> '.join(chain)} "
                     f"({_fmt_bytes(float(info.get('nbytes', 0)) * scale)} "
@@ -943,14 +533,14 @@ def _lint_notes(predictor: _Predictor, plan: PlanTrace) -> None:
                 )
             seen_conversions[(src_id, dst_fmt)] += 1
             if seen_conversions[(src_id, dst_fmt)] == 2:
-                predictor._finding(
+                out.add(
                     "warning", "convert-repeated",
                     f"the same matrix is converted {src_fmt} -> {dst_fmt} "
                     f"repeatedly — hoist the conversion out of the loop",
                 )
 
 
-def _lint_dead_writes(predictor: _Predictor, plan: PlanTrace) -> None:
+def _lint_dead_writes(out: _Findings, plan: PlanTrace) -> None:
     """WRITE_DISCARD over an unread previous write = dead computation."""
     pending: Dict[int, Tuple[int, str]] = {}  # region uid -> (op idx, name)
     for idx, op in enumerate(plan.ops):
@@ -969,7 +559,7 @@ def _lint_dead_writes(predictor: _Predictor, plan: PlanTrace) -> None:
                 continue
             if priv == Privilege.WRITE_DISCARD and region.uid in pending:
                 prev_idx, prev_name = pending[region.uid]
-                predictor._finding(
+                out.add(
                     "warning", "dead-write",
                     f"op {op.name!r} (launch #{idx}) discards region "
                     f"{region.name!r} written by {prev_name!r} "
@@ -980,14 +570,14 @@ def _lint_dead_writes(predictor: _Predictor, plan: PlanTrace) -> None:
                 pending[region.uid] = (idx, op.name)
 
 
-def _lint_restaging(predictor: _Predictor) -> None:
+def _lint_restaging(out: _Findings, log: EventLog, config) -> None:
     """The same fragment staged into the same memory many times."""
-    options = predictor.options
+    options = out.options
     counts: Counter = Counter()
     volumes: Counter = Counter()
     names: Dict[tuple, str] = {}
-    for ev in predictor.log.events:
-        if getattr(ev, "kind", "") != "copy" or ev.why != "stage":
+    for ev in log.events:
+        if not isinstance(ev, CopyEvent) or ev.why != "stage":
             continue
         key = (ev.region, ev.rect, ev.dst_memory)
         counts[key] += 1
@@ -996,11 +586,11 @@ def _lint_restaging(predictor: _Predictor) -> None:
     for key, count in counts.most_common():
         if count < options.restage_warn_count:
             break
-        total = volumes[key] * predictor.config.effective_comm_scale
+        total = volumes[key] * config.effective_comm_scale
         if total < options.restage_warn_bytes:
             continue
         region, rect, dst = key
-        predictor._finding(
+        out.add(
             "note", "restage",
             f"region {names[key]!r} fragment {rect} staged into memory "
             f"{dst} {count} times ({_fmt_bytes(total)} scaled total) — "
@@ -1008,101 +598,94 @@ def _lint_restaging(predictor: _Predictor) -> None:
         )
 
 
-def _lint_capacity_pressure(predictor: _Predictor) -> None:
-    options = predictor.options
-    for memory in predictor.machine.memories:
-        peak = predictor.instances.peak_bytes(memory)
-        if peak <= 0:
-            continue
-        state = predictor.instances.state(memory)
-        budget = memory.capacity - state.reserved_bytes
-        if budget <= 0:
-            continue
-        if memory.uid in predictor._oom_memories:
-            continue  # already an error
-        if memory.uid in predictor._spill_bytes:
-            # Would-be OOMs that config.spill relieves: the run completes
-            # but pays eviction/spill traffic — a warning, not an error.
-            spilled = predictor._spill_bytes[memory.uid]
-            predictor._finding(
-                "warning", "spill",
-                f"memory {_mem_name(memory)} exceeds its "
-                f"{_fmt_bytes(budget)} budget; graceful degradation "
-                f"evicts/spills an estimated {_fmt_bytes(spilled)} "
-                f"(runtime policy: LRU clean eviction, then dirty spill "
-                f"to system memory)",
-            )
-            continue
-        if peak / budget >= options.pressure_warn_fraction:
-            predictor._finding(
+def _lint_stop(out: _Findings, plan: PlanTrace, launches: _Launches, exc, config) -> None:
+    """The overflow or unsolvable constraints that stopped the replay."""
+    if isinstance(exc, OutOfMemoryError):
+        hint = "" if config.spill else " (config.spill would degrade this to spill traffic)"
+        out.add("error", "capacity", f"{exc.describe()}{hint}; the replay stops at this launch")
+    elif exc is not None:
+        op = plan.ops[len(launches)]  # solving raised: it never launched
+        out.add(
+            "error", "constraints",
+            f"op {op.name!r}: constraint solving failed: {exc}; the replay stops here",
+        )
+
+
+def _lint_capacity(out: _Findings, rt: Runtime) -> None:
+    """Spill-policy relief and high memory pressure (warnings)."""
+    prof = rt.profiler
+    if prof.evictions or prof.spills:
+        # The run completes but pays eviction/spill traffic — a
+        # warning, not an error.
+        out.add(
+            "warning", "spill",
+            f"memory overflows its budget; the runtime's spill policy "
+            f"evicts {prof.evictions} clean instance(s) "
+            f"({_fmt_bytes(prof.eviction_bytes)}) and spills "
+            f"{prof.spills} dirty piece(s) "
+            f"({_fmt_bytes(prof.spill_bytes)}) to system memory",
+        )
+    threshold = out.options.pressure_warn_fraction
+    for memory in rt.machine.memories:
+        peak = rt.instances.peak_bytes(memory)
+        budget = memory.capacity - rt.instances.state(memory).reserved_bytes
+        if peak > 0 and budget > 0 and peak / budget >= threshold:
+            out.add(
                 "warning", "memory-pressure",
                 f"memory {_mem_name(memory)} peaks at {_fmt_bytes(peak)} of "
                 f"{_fmt_bytes(budget)} budget ({peak / budget:.0%}) — "
-                f"allocator churn territory "
-                f"(threshold {options.pressure_warn_fraction:.0%})",
+                f"allocator churn territory (threshold {threshold:.0%})",
             )
 
 
-def _lint_fusion(predictor: _Predictor) -> None:
-    """Report the exact groups the deferred window will (or would) fuse.
+def _lint_fusion(out: _Findings, fusion_log, config) -> None:
+    """Fused groups and their kernel-merge verdicts, from ``fusion_log``.
 
-    The groups come from the predictor's window simulation, which runs
-    the runtime's own planner (:func:`repro.legion.fusion.plan_window`)
-    over the plan stream — so with fusion enabled these findings are a
-    statement of fact, not a heuristic: the runtime's ``fusion_log``
-    will contain exactly these groups.
+    ``fusible`` (note): launches the window fuses, or would with
+    ``config.fusion`` on.  ``kernel-merge-applied`` (note): the group
+    runs as one loop nest.  ``kernel-merge-blocked`` (warning): the
+    dependence analyzer proved the group must replay its sub-kernels,
+    naming the rule.  With ``config.kernel_fusion`` off, no merge
+    findings (nothing to act on per group).
     """
-    enabled = bool(getattr(predictor.config, "fusion", False))
-    for names, elided, _verdict in predictor.fusion_groups:
+    verb = (
+        "will fuse" if config.fusion
+        else "would fuse (config.fusion is disabled)"
+    )
+    for names, elided, _verdict in fusion_log:
         if len(names) <= 1:
             continue
-        verb = (
-            "will fuse" if enabled
-            else "would fuse (config.fusion is disabled)"
-        )
         extra = f", eliding {elided} temporar{'y' if elided == 1 else 'ies'}" if elided else ""
-        predictor._finding(
+        out.add(
             "note", "fusible",
             f"{len(names)} launches {verb} into one task"
             f"{extra}: {' + '.join(names)}",
         )
-
-
-def _lint_kernel_merge(predictor: _Predictor) -> None:
-    """Report per-group kernel-fusion verdicts from the dependence pass.
-
-    ``kernel-merge-applied`` (info): the group is merge-safe and will
-    execute as one generated loop nest, with the modeled compute the
-    merge saves.  ``kernel-merge-blocked`` (warning): the dependence
-    analyzer proved the group must replay, naming the blocking rule and
-    the concrete launch/edge behind it.  Groups replaying only because
-    ``config.kernel_fusion`` is off are not user-actionable per group
-    and produce no finding.
-    """
-    if not bool(getattr(predictor.config, "kernel_fusion", False)):
+    if not config.kernel_fusion:
         return
-    for report in predictor.merge_reports:
-        names = " + ".join(report["names"])
-        if report["label"] == "merged":
-            saved = report["saved_seconds"]
-            predictor._finding(
+    for names, _elided, verdict in fusion_log:
+        if len(names) <= 1:
+            continue
+        joined = " + ".join(names)
+        if verdict == "merged":
+            out.add(
                 "note", "kernel-merge-applied",
-                f"{len(report['names'])} kernels merge into one loop "
-                f"nest ({names}); modeled compute saved: {saved:.3e}s",
+                f"{len(names)} kernels merge into one loop nest ({joined})",
             )
-        elif report["reason"] is not None:
-            predictor._finding(
+        else:
+            reason = verdict.partition(":")[2]
+            out.add(
                 "warning", "kernel-merge-blocked",
-                f"group ({names}) replays sub-kernels: "
-                f"[{report['reason']}] {report['detail']}",
+                f"group ({joined}) replays sub-kernels: "
+                f"[{reason}] {REASONS.get(reason, '')}".rstrip(),
             )
 
 
-def _lint_resilience(predictor: _Predictor) -> None:
+def _lint_resilience(out: _Findings, rt: Runtime, config) -> None:
     """The resilience pass: predicted checkpoint cost and fault lints.
 
-    Reads the chaos config the plan would run under and the predictor's
-    replayed coherence (the written sets an epoch would snapshot):
+    Reads the chaos config the plan would run under and the replay's
+    coherence (the written sets an epoch would snapshot):
 
     * ``unprotected-run`` (warning) — losses scheduled with
       ``checkpoint_every=0``: no epoch bounds the journal, so a loss
@@ -1116,31 +699,25 @@ def _lint_resilience(predictor: _Predictor) -> None:
       (detection latency + restart delay + replica restore + replay of
       a full epoch's launches).
     """
-    chaos = getattr(predictor.config, "chaos", None)
+    chaos = config.chaos
     if chaos is None:
         return
-    machine = predictor.machine
+    machine = rt.machine
     domains = len(
         {m.node for m in machine.memories if m.kind == MemoryKind.SYSMEM}
     )
-    replicas = getattr(chaos, "ckpt_replicas", 1)
+    replicas = chaos.ckpt_replicas
     effective = min(replicas, domains) if domains else 0
     node_losses = [l for l in chaos.losses if l.kind == "node"]
 
     # Predicted per-epoch snapshot: the written volume at end of plan
     # (what a steady-state epoch must protect), scaled like the
     # runtime's checkpoint copies.
-    snap_bytes = 0.0
-    for uid, coh in predictor.coherence.items():
-        if coh.written.is_empty():
-            continue
-        itemsize = getattr(predictor.regions.get(uid), "itemsize", 8)
-        snap_bytes += coh.written.volume() * itemsize
-    snap_bytes *= predictor.config.effective_comm_scale
+    snap_bytes = rt.written_bytes() * config.effective_comm_scale
     repl_bytes = snap_bytes * max(effective - 1, 0)
 
     if chaos.losses and chaos.checkpoint_every == 0:
-        predictor._finding(
+        out.add(
             "warning", "unprotected-run",
             f"{len(chaos.losses)} loss(es) scheduled with "
             f"checkpoint_every=0: no checkpoint epoch bounds the "
@@ -1149,7 +726,7 @@ def _lint_resilience(predictor: _Predictor) -> None:
             f"snapshotted at all)",
         )
     if node_losses and replicas == 1:
-        predictor._finding(
+        out.add(
             "warning", "under-replicated",
             f"{len(node_losses)} node loss(es) scheduled with "
             f"ckpt_replicas=1: the single node-0 checkpoint store is a "
@@ -1158,29 +735,26 @@ def _lint_resilience(predictor: _Predictor) -> None:
             f"store loss",
         )
     if replicas > domains > 0:
-        predictor._finding(
+        out.add(
             "warning", "under-replicated",
             f"ckpt_replicas={replicas} exceeds the machine's {domains} "
             f"sysmem fault domain(s); effective replication is only "
             f"{effective}",
         )
     if chaos.checkpoint_every > 0 or chaos.losses:
-        detect = getattr(chaos, "heartbeat_period", 0.0) + getattr(
-            chaos, "detection_timeout", 0.0
-        )
-        launches = max(len(predictor.task_ops), 1)
-        # Replay re-times kernels and launch overhead (it skips only
-        # the numerics), so a replayed launch costs about what the
+        detect = chaos.heartbeat_period + chaos.detection_timeout
+        launches = max(rt.profiler.tasks_launched, 1)
+        # Recovery replay re-times kernels and launch overhead (it skips
+        # only the numerics), so a replayed launch costs about what the
         # original did.
         per_launch = (
-            predictor.est_kernel_seconds / launches
-            + predictor.config.launch_overhead
+            rt.profiler.kernel_seconds / launches + config.launch_overhead
         )
         epoch = chaos.checkpoint_every or launches
         nic_bw = machine.config.nic_bandwidth
         restore = snap_bytes / nic_bw if nic_bw else 0.0
         worst = detect + chaos.recovery_delay + restore + epoch * per_launch
-        predictor._finding(
+        out.add(
             "note", "resilience",
             f"checkpoint epoch snapshots ~{_fmt_bytes(int(snap_bytes))} "
             f"x{max(effective, 1)} replica store(s) "
@@ -1189,6 +763,28 @@ def _lint_resilience(predictor: _Predictor) -> None:
             f"+ restart {chaos.recovery_delay:.1e}s + replica restore + "
             f"replay of <= {epoch} launches)",
         )
+
+
+def _traffic(log: EventLog, machine: Machine, config) -> Dict[str, Dict[str, float]]:
+    """Copies and bytes per channel class, from the log's copy records."""
+    node = {m.uid: m.node for m in machine.memories}
+    traffic: Dict[str, Dict[str, float]] = {}
+    for ev in log.events:
+        if not isinstance(ev, CopyEvent):
+            continue
+        if ev.src_memory == ev.dst_memory:
+            cls = "intra"
+        elif node[ev.src_memory] == node[ev.dst_memory]:
+            cls = "nvlink"
+        else:
+            cls = "nic"
+        entry = traffic.setdefault(
+            cls, {"copies": 0, "bytes": 0.0, "scaled_bytes": 0.0}
+        )
+        entry["copies"] += 1
+        entry["bytes"] += ev.nbytes
+        entry["scaled_bytes"] += ev.nbytes * config.effective_comm_scale
+    return traffic
 
 
 # ----------------------------------------------------------------------
@@ -1269,7 +865,8 @@ def analyze(
     config=None,
     options: Optional[AdvisorConfig] = None,
 ) -> Advice:
-    """Statically predict the plan's execution and run the lint battery."""
+    """Replay the plan through a runtime and run the lint battery."""
+    from repro.distal.codegen import compile_cache_stats  # import-heavy
     scope = scope or plan.scope
     config = config or plan.config
     if scope is None or config is None:
@@ -1278,15 +875,22 @@ def analyze(
             "advisor.trace()"
         )
     options = options or AdvisorConfig()
-    predictor = _Predictor(plan, scope, config, options)
-    predictor.run()
-    _lint_notes(predictor, plan)
-    _lint_dead_writes(predictor, plan)
-    _lint_restaging(predictor)
-    _lint_capacity_pressure(predictor)
-    _lint_fusion(predictor)
-    _lint_kernel_merge(predictor)
-    _lint_resilience(predictor)
+    rt, launches, error = _replay(plan, scope, config)
+    # With fusion off the runtime forms no groups; the fusion lints
+    # still report the groups a fusion-enabled run would form.
+    fusion_log = (
+        rt.fusion_log if config.fusion
+        else _replay(plan, scope, replace(config, fusion=True))[0].fusion_log
+    )
+    out = _Findings(options)
+    _lint_stop(out, plan, launches, error, config)
+    _lint_broadcast(out, launches, config)
+    _lint_notes(out, plan, config)
+    _lint_dead_writes(out, plan)
+    _lint_restaging(out, rt.event_log, config)
+    _lint_capacity(out, rt)
+    _lint_fusion(out, fusion_log, config)
+    _lint_resilience(out, rt, config)
 
     format_advice: List[FormatAdvice] = []
     if options.autoformat:
@@ -1297,43 +901,41 @@ def analyze(
             plan, scope, config, autoformat_on=True
         )
         for severity, rule, message in format_lints:
-            predictor._finding(severity, rule, message)
+            out.add(severity, rule, message)
 
     machine = scope.machine
     cfg = machine.config
-    memories = []
-    for memory in machine.memories:
-        peak = predictor.instances.peak_bytes(memory)
-        if peak <= 0:
-            continue
-        state = predictor.instances.state(memory)
-        memories.append(
-            MemoryReport(
-                memory=_mem_name(memory),
-                kind=memory.kind.value,
-                node=memory.node,
-                peak_bytes=int(peak),
-                capacity=int(memory.capacity),
-                reserved_bytes=int(state.reserved_bytes),
-            )
+    instances = rt.instances
+    memories = [
+        MemoryReport(
+            _mem_name(m), m.kind.value, m.node, int(instances.peak_bytes(m)),
+            int(m.capacity), int(instances.state(m).reserved_bytes),
         )
+        for m in machine.memories
+        if instances.peak_bytes(m) > 0
+    ]
 
-    est_copy = 0.0
+    traffic = _traffic(rt.event_log, machine, config)
     class_bandwidth = {
         "intra": cfg.intra_memory_bandwidth,
         "nvlink": cfg.nvlink_bandwidth,
         "nic": cfg.nic_bandwidth,
     }
-    for cls, entry in predictor.traffic.items():
-        est_copy += entry["scaled_bytes"] / class_bandwidth[cls]
+    est_copy = sum(
+        entry["scaled_bytes"] / class_bandwidth[cls]
+        for cls, entry in traffic.items()
+    )
+
+    ops: Dict[tuple, OpReport] = {}
+    for op, requirements in launches:
+        colors = _launch_colors(requirements)
+        partitions = {
+            req.name: describe_partition(req.partition) for req in requirements
+        }
+        key = (op.name, colors, tuple(partitions.items()))
+        ops.setdefault(key, OpReport(op.name, 0, colors, partitions)).count += 1
 
     severity_rank = {"error": 0, "warning": 1, "note": 2}
-    findings = sorted(
-        predictor.findings, key=lambda f: severity_rank.get(f.severity, 3)
-    )
-    ops = sorted(
-        predictor.op_groups.values(), key=lambda r: -r.count
-    )
     nodes = {p.node for p in scope.processors}
     return Advice(
         plan_name=plan.name,
@@ -1344,25 +946,19 @@ def analyze(
         ),
         launches=len(plan.ops),
         regions=sum(1 for e in plan.events if isinstance(e, PlanRegion)),
-        ops=ops,
-        traffic=predictor.traffic,
+        ops=sorted(ops.values(), key=lambda r: -r.count),
+        traffic=traffic,
         memories=memories,
-        findings=findings,
-        est_kernel_seconds=predictor.est_kernel_seconds,
+        findings=sorted(
+            out.items, key=lambda f: severity_rank.get(f.severity, 3)
+        ),
+        est_kernel_seconds=rt.profiler.kernel_seconds,
         est_copy_seconds=est_copy,
         comm_scale=config.effective_comm_scale,
-        predicted=predictor.log,
-        # The simulation always runs (the lint reports hypothetical
-        # groups either way), but only a fusion-enabled runtime actually
-        # forms them — an agreement comparison against a fusion-off run
-        # should see none.
-        fusion_groups=(
-            list(predictor.fusion_groups)
-            if getattr(config, "fusion", False)
-            else []
-        ),
+        predicted=rt.event_log,
+        fusion_groups=list(rt.fusion_log),
         format_advice=format_advice,
-        caches={"compile": _compile_cache_stats()},
+        caches={"compile": compile_cache_stats()},
     )
 
 

@@ -5,8 +5,10 @@ needs the *sequence of task launches* a program would issue — each with
 its stores, privileges, constraints and color count — without the cost
 of actually running kernels.  This module is the recording half: a
 :class:`PlanTrace` attached to a runtime (``runtime.plan_trace``)
-receives one event per region creation, task launch, fill, free and
-library annotation ("this op densified", "this op converted formats").
+receives one event per region creation, task launch, fill, free, sync
+point and library annotation ("this op densified", "this op converted
+formats").  The advisor replays those events through a fresh
+:class:`~repro.legion.runtime.Runtime` with kernel bodies skipped.
 
 Two capture modes share the same hooks:
 
@@ -16,11 +18,14 @@ Two capture modes share the same hooks:
   scalar results are policy values (NaN for norms/dots so convergence
   loops run to ``maxiter``; 0 for counting reductions so sizing code
   stays well-defined).  This is the ``python -m repro.analysis advise``
-  mode: the program is interpreted abstractly at trace time and the
-  predictor replays the plan against a machine model afterwards.
+  mode.
 * **alongside** (``deferred=False``): ops are recorded *and* executed
   normally.  Used by the agreement tests, which compare the advisor's
-  predicted copies against the event log of the very same run.
+  replay against the very same run.
+
+The plan keeps its own handle to every store it records
+(:meth:`PlanTrace.hold`), so a program dropping a store still frees
+its region — and the free lands in the plan where the program made it.
 
 This module deliberately imports nothing from :mod:`repro.legion`,
 :mod:`repro.constraints` or :mod:`repro.distal`: callers pass their
@@ -31,14 +36,16 @@ the rest of :mod:`repro.analysis`).
 
 from __future__ import annotations
 
+import copy
 import math
+import weakref
 from typing import Any, Dict, List, Optional, Tuple
 
 
 class PlanOp:
     """One recorded task launch (or fill) in program order.
 
-    Either ``args``/``constraints`` are set (an AutoTask: the predictor
+    Either ``args``/``constraints`` are set (an AutoTask: the replay
     re-runs the constraint solver over the stores) or ``requirements``
     is set (a fill: the concrete ``(name, region, partition, privilege)``
     list the runtime would have used directly).
@@ -74,7 +81,7 @@ class PlanOp:
         # Fill path: [(arg_name, Region, Partition, Privilege)].
         self.requirements = requirements
         # Element-wise marker (repro.legion.task.Pointwise), stored
-        # opaquely: the advisor's fusion-window simulation keys off it.
+        # opaquely: the replayed launch carries it into the fusion window.
         self.pointwise = pointwise
         self.index = index
 
@@ -96,14 +103,14 @@ class PlanRegion:
 
 
 class PlanFree:
-    """A region freed (instances recycled) during the trace."""
+    """A region freed (the program dropped its last handle) during the trace."""
 
     kind = "free"
 
-    __slots__ = ("region_uid", "index")
+    __slots__ = ("region", "index")
 
-    def __init__(self, region_uid: int, index: int = 0):
-        self.region_uid = int(region_uid)
+    def __init__(self, region, index: int = 0):
+        self.region = region
         self.index = index
 
 
@@ -127,13 +134,15 @@ class PlanTrace:
         self.name = name
         self.deferred = bool(deferred)
         self.events: List[object] = []
-        # Bound from the tracing runtime (bind()): the predictor replays
+        # Bound from the tracing runtime (bind()): the advisor replays
         # against the same configuration and machine scope by default.
         self.config = None
         self.scope = None
         self.mem_scale_by_extent: Dict[int, float] = {}
         # The traced function's return value (set by advisor.trace).
         self.result: Any = None
+        # Program store -> the plan's own handle to it (see hold()).
+        self._held: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     def bind(self, runtime) -> "PlanTrace":
@@ -149,6 +158,21 @@ class PlanTrace:
     def _append(self, event) -> None:
         event.index = len(self.events)
         self.events.append(event)
+
+    def hold(self, store):
+        """The plan's own handle to a program ``store``.
+
+        Recorded ops must keep their stores for the replay, but holding
+        the program's objects would keep every region alive for the
+        whole trace, so no free would ever be recorded.  The plan keeps
+        a copy instead (same region, its own key partition) and frees
+        the region when the program drops the original.
+        """
+        held = self._held.get(store)
+        if held is None:
+            held = self._held[store] = copy.copy(store)
+            weakref.finalize(store, store.region.destroy).atexit = False
+        return held
 
     def record_task_op(
         self,
@@ -171,12 +195,13 @@ class PlanTrace:
         return op
 
     def record_fill(
-        self, region, partition, privilege, value, pointwise=None
+        self, region, partition, privilege, value, cost_fn, pointwise=None
     ) -> PlanOp:
         """Record a direct runtime fill (concrete partition, no solve)."""
         op = PlanOp(
             "fill", partition.color_count,
             scalars={"value": value},
+            cost_fn=cost_fn,
             requirements=[("out", region, partition, privilege)],
             pointwise=pointwise,
         )
@@ -187,9 +212,9 @@ class PlanTrace:
         """Record a region creation (attached = host data provided)."""
         self._append(PlanRegion(region, attached))
 
-    def record_free(self, region_uid: int) -> None:
+    def record_free(self, region) -> None:
         """Record a region's instances being recycled."""
-        self._append(PlanFree(region_uid))
+        self._append(PlanFree(region))
 
     def record_note(self, category: str, **info) -> None:
         """Record a library annotation (densify, convert, ...)."""
@@ -228,6 +253,16 @@ class PlanTrace:
         for op in self.ops:
             for _, store, _ in op.args:
                 seen.setdefault(id(store), store)
+        return list(seen.values())
+
+    def regions(self) -> List[object]:
+        """Every distinct region the recorded launches touch."""
+        seen: Dict[int, object] = {}
+        for op in self.ops:
+            for _, store, _ in op.args:
+                seen.setdefault(store.region.uid, store.region)
+            for _, region, _, _ in op.requirements or ():
+                seen.setdefault(region.uid, region)
         return list(seen.values())
 
     def stats(self) -> Dict[str, int]:

@@ -10,8 +10,9 @@ them.
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
 from time import perf_counter as _perf
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis import ValidationError
 from repro.constraints.constraint import Align, Broadcast, Explicit, Image, ImageKind
@@ -133,45 +134,21 @@ class AutoTask:
             statement=statement,
         )
 
-    # ------------------------------------------------------------------
-    def _check_write_disjointness(self, solution) -> None:
-        """Validation mode: exclusive-write partitions must be disjoint.
-
-        Two colors writing overlapping rects under WRITE/WRITE_DISCARD
-        race — only REDUCE tolerates aliased outputs (folds commute).
-        The event-log checker would flag this after the fact; failing
-        here names the offending launch while it is on the stack.
-        """
-        for name, store, privilege in self._args:
-            if privilege not in (Privilege.WRITE, Privilege.WRITE_DISCARD):
-                continue
-            partition = solution[store.region.uid]
-            if partition.color_count > 1 and not partition.is_disjoint():
-                raise ValidationError(
-                    f"task {self.name!r}: {privilege.value} argument "
-                    f"{name!r} has an aliased partition — overlapping "
-                    f"shards would race on region {store.region.name!r}"
-                )
-
     def execute(self) -> Optional[Future]:
         """Solve constraints, launch, update key partitions."""
         colors = self.colors if self.colors is not None else self.runtime.num_procs
-        if self._pointwise is None or any(
-            isinstance(c, Image) for c in self._constraints
-        ):
-            # Non-pointwise (or image-constrained) tasks flush the
-            # deferred window *before* solving: image partitions read
-            # region data host-side at solve time, and pending fused
-            # launches may still owe writes to those regions.
-            self.runtime.flush_window()
         plan = self.runtime.plan_trace
         if plan is not None:
             # Advisor capture (repro.analysis.plan): record the launch —
             # stores, privileges, constraints, resolved color count — so
-            # the static predictor can replay the solver and mapper.
+            # the advisor can replay it through a fresh runtime.  The
+            # plan holds its own handles to the stores (plan.hold), so
+            # the program dropping a store still frees its region.
             plan.record_task_op(
-                self.name, self._args, self._constraints, self._scalars,
-                self._scalar_reduction, colors, self.cost_fn,
+                self.name,
+                [(name, plan.hold(store), priv) for name, store, priv in self._args],
+                [_held_constraint(con, plan.hold) for con in self._constraints],
+                self._scalars, self._scalar_reduction, colors, self.cost_fn,
                 pointwise=self._pointwise,
             )
             if plan.deferred:
@@ -180,77 +157,139 @@ class AutoTask:
                 if self._scalar_reduction is not None:
                     return Future(plan.deferred_scalar(self.name), 0.0)
                 return None
-        stores = [store for _, store, _ in self._args]
-        rt = self.runtime
-        t0 = _perf()
-        solution = sig = None
-        if rt.config.fastpath:
-            # Memoized solve: iterative solvers re-launch structurally
-            # identical tasks every step; the signature embeds key
-            # partitions, so repartitions miss instead of going stale.
-            sig = solve_signature(
-                stores,
-                self._constraints,
-                colors,
-                reuse_partitions=rt.config.reuse_partitions,
-                exact_images=rt.config.exact_images,
-            )
-            if sig is not None:
-                plan_entry = rt._solve_memo.get(sig)
-                if plan_entry is not None:
-                    solution = rebuild_solution(plan_entry, stores, colors)
-        if solution is None:
-            solution = solve_partitions(
-                stores,
-                self._constraints,
-                colors,
-                reuse_partitions=rt.config.reuse_partitions,
-                exact_images=rt.config.exact_images,
-                image_cache=rt._image_cache,
-            )
-            if sig is not None:
-                splan = solution_plan(solution, stores)
-                if splan is not None:
-                    rt._solve_memo.put(sig, splan)
-                rt.profiler.fastpath_counters["solve_misses"] += 1
-        else:
-            rt.profiler.fastpath_counters["solve_hits"] += 1
-        rt.profiler.record_host_phase("constraint-solve", _perf() - t0)
-        if self.runtime.config.validate:
-            self._check_write_disjointness(solution)
-        requirements = []
-        fold_partition = None
-        for name, store, privilege in self._args:
-            partition = solution[store.region.uid]
-            requirements.append(
-                Requirement(name, store.region, partition, privilege)
-            )
-            if privilege == Privilege.REDUCE and fold_partition is None:
-                if isinstance(store.key_partition, Tiling) and (
-                    store.key_partition.color_count == colors
-                ):
-                    fold_partition = store.key_partition
-                else:
-                    fold_partition = Tiling.create(store.region, colors)
-
-        launch = TaskLaunch(
-            name=self.name,
-            requirements=requirements,
-            kernel=self.kernel,
-            cost_fn=self.cost_fn,
-            scalars=self._scalars,
-            reduction=self._scalar_reduction,
-            fold_partition=fold_partition,
-            pointwise=self._pointwise,
+        _, result = launch_task(
+            self.runtime, self.name, self._args, self._constraints, colors,
+            self.kernel, self.cost_fn, self._scalars, self._scalar_reduction,
+            self._pointwise,
         )
-        result = self.runtime.launch(launch)
-
-        for _name, store, privilege in self._args:
-            if not privilege.writes:
-                continue
-            partition = solution[store.region.uid]
-            if privilege == Privilege.REDUCE:
-                store.set_key_partition(fold_partition)
-            elif isinstance(partition, Tiling):
-                store.set_key_partition(partition)
         return result
+
+
+def _held_constraint(con, hold):
+    """``con`` with every store it names replaced by ``hold(store)``."""
+    stores = {
+        f.name: hold(getattr(con, f.name))
+        for f in fields(con)
+        if isinstance(getattr(con, f.name), Store)
+    }
+    return replace(con, **stores)
+
+
+def _check_write_disjointness(name, args, solution) -> None:
+    """Validation mode: exclusive-write partitions must be disjoint.
+
+    Two colors writing overlapping rects under WRITE/WRITE_DISCARD
+    race — only REDUCE tolerates aliased outputs (folds commute).
+    The event-log checker would flag this after the fact; failing
+    here names the offending launch while it is on the stack.
+    """
+    for arg, store, privilege in args:
+        if privilege not in (Privilege.WRITE, Privilege.WRITE_DISCARD):
+            continue
+        partition = solution[store.region.uid]
+        if partition.color_count > 1 and not partition.is_disjoint():
+            raise ValidationError(
+                f"task {name!r}: {privilege.value} argument "
+                f"{arg!r} has an aliased partition — overlapping "
+                f"shards would race on region {store.region.name!r}"
+            )
+
+
+def launch_task(
+    rt: Runtime,
+    name: str,
+    args: List[tuple],
+    constraints: List[object],
+    colors: int,
+    kernel: Optional[KernelFn],
+    cost_fn: CostFn,
+    scalars: Dict[str, Any],
+    reduction: Optional[str] = None,
+    pointwise: Optional[Pointwise] = None,
+) -> Tuple[List[Requirement], Optional[Future]]:
+    """Solve one task's constraints, launch it, update key partitions.
+
+    ``args`` are ``(name, store, privilege)`` triples.  This is the one
+    path from stores and constraints to :meth:`Runtime.launch`:
+    :meth:`AutoTask.execute` runs it with the task's kernel, and the
+    advisor replays recorded plans through it with ``kernel=None``
+    (shards are mapped, staged and timed; numerics are skipped).
+    Returns the solved requirements and the launch's future.
+    """
+    if pointwise is None or any(isinstance(c, Image) for c in constraints):
+        # Non-pointwise (or image-constrained) tasks flush the
+        # deferred window *before* solving: image partitions read
+        # region data host-side at solve time, and pending fused
+        # launches may still owe writes to those regions.
+        rt.flush_window()
+    stores = [store for _, store, _ in args]
+    t0 = _perf()
+    solution = sig = None
+    if rt.config.fastpath:
+        # Memoized solve: iterative solvers re-launch structurally
+        # identical tasks every step; the signature embeds key
+        # partitions, so repartitions miss instead of going stale.
+        sig = solve_signature(
+            stores,
+            constraints,
+            colors,
+            reuse_partitions=rt.config.reuse_partitions,
+            exact_images=rt.config.exact_images,
+        )
+        if sig is not None:
+            plan_entry = rt._solve_memo.get(sig)
+            if plan_entry is not None:
+                solution = rebuild_solution(plan_entry, stores, colors)
+    if solution is None:
+        solution = solve_partitions(
+            stores,
+            constraints,
+            colors,
+            reuse_partitions=rt.config.reuse_partitions,
+            exact_images=rt.config.exact_images,
+            image_cache=rt._image_cache,
+        )
+        if sig is not None:
+            splan = solution_plan(solution, stores)
+            if splan is not None:
+                rt._solve_memo.put(sig, splan)
+            rt.profiler.fastpath_counters["solve_misses"] += 1
+    else:
+        rt.profiler.fastpath_counters["solve_hits"] += 1
+    rt.profiler.record_host_phase("constraint-solve", _perf() - t0)
+    if rt.config.validate:
+        _check_write_disjointness(name, args, solution)
+    requirements = []
+    fold_partition = None
+    for arg, store, privilege in args:
+        partition = solution[store.region.uid]
+        requirements.append(Requirement(arg, store.region, partition, privilege))
+        if privilege == Privilege.REDUCE and fold_partition is None:
+            if isinstance(store.key_partition, Tiling) and (
+                store.key_partition.color_count == colors
+            ):
+                fold_partition = store.key_partition
+            else:
+                fold_partition = Tiling.create(store.region, colors)
+
+    launch = TaskLaunch(
+        name=name,
+        requirements=requirements,
+        kernel=kernel,
+        cost_fn=cost_fn,
+        scalars=scalars,
+        reduction=reduction,
+        fold_partition=fold_partition,
+        pointwise=pointwise,
+    )
+    result = rt.launch(launch)
+
+    for _arg, store, privilege in args:
+        if not privilege.writes:
+            continue
+        partition = solution[store.region.uid]
+        if privilege == Privilege.REDUCE:
+            store.set_key_partition(fold_partition)
+        elif isinstance(partition, Tiling):
+            store.set_key_partition(partition)
+    return requirements, result

@@ -4,16 +4,13 @@ The paper attributes Legate Sparse's single-GPU losses on GMG and the
 quantum workload to per-task launch overhead and names task fusion as
 the fix (§6.1); the Diffuse follow-up shows the mechanism: buffer
 launches in a *deferred window* and merge compatible runs into one task.
-This module is that mechanism, shared by two consumers:
-
-* :class:`repro.legion.runtime.Runtime` buffers fusible
-  :class:`~repro.legion.task.TaskLaunch` objects and, at each flush,
-  calls :func:`plan_window` to partition the window into groups and
-  :func:`fuse` to merge each multi-launch group;
-* the static advisor (:mod:`repro.analysis.advisor`) simulates the same
-  window over a recorded plan and calls the same :func:`plan_window`, so
-  its "fusible" predictions agree *exactly* with what the runtime does
-  (``tests/analysis/test_fusion_agreement.py``).
+This module is that mechanism: :class:`repro.legion.runtime.Runtime`
+buffers fusible :class:`~repro.legion.task.TaskLaunch` objects and, at
+each flush, calls :func:`plan_window` to partition the window into
+groups and :func:`fuse` to merge each multi-launch group.  The static
+advisor (:mod:`repro.analysis.advisor`) replays recorded plans through
+a runtime, so its fusion groups are the runtime's own
+(``tests/analysis/test_fusion_agreement.py``).
 
 Legality rules (checked structurally, per window):
 
@@ -49,7 +46,7 @@ trace (:mod:`repro.legion.tracing`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.legion.partition import Replicate, Tiling
 from repro.legion.privilege import Privilege
@@ -101,41 +98,24 @@ class GroupPlan:
         return len(self.indices) > 1
 
 
-def summarize(
-    name: str,
-    colors: int,
-    accesses: Iterable[Tuple[object, object, object, Privilege]],
-    pointwise: Optional[Pointwise] = None,
-    reduction: Optional[str] = None,
-) -> LaunchSummary:
-    """Summarize a launch from ``(req_name, region, partition,
-    privilege)`` tuples."""
+def summarize_launch(task: TaskLaunch) -> LaunchSummary:
+    """Summarize a concrete :class:`TaskLaunch`."""
     out: List[Access] = []
-    ok = pointwise is not None and reduction is None
-    for req_name, region, partition, privilege in accesses:
+    ok = task.pointwise is not None and task.reduction is None
+    for req in task.requirements:
+        partition, privilege = req.partition, req.privilege
         if isinstance(partition, Tiling):
             out.append(
-                Access(region, "tile", partition.boundaries, privilege, req_name)
+                Access(req.region, "tile", partition.boundaries, privilege, req.name)
             )
         elif isinstance(partition, Replicate):
-            out.append(Access(region, "rep", None, privilege, req_name))
+            out.append(Access(req.region, "rep", None, privilege, req.name))
             if privilege.writes:
                 ok = False
         else:
-            out.append(Access(region, "other", None, privilege, req_name))
+            out.append(Access(req.region, "other", None, privilege, req.name))
             ok = False
-    return LaunchSummary(name, int(colors), ok, tuple(out), pointwise)
-
-
-def summarize_launch(task: TaskLaunch) -> LaunchSummary:
-    """Summarize a concrete :class:`TaskLaunch`."""
-    return summarize(
-        task.name,
-        task.color_count,
-        ((r.name, r.region, r.partition, r.privilege) for r in task.requirements),
-        pointwise=task.pointwise,
-        reduction=task.reduction,
-    )
+    return LaunchSummary(task.name, task.color_count, ok, tuple(out), task.pointwise)
 
 
 def fusible(task: TaskLaunch) -> bool:
@@ -376,10 +356,16 @@ def fuse(
     ops: List[str] = []
     for task in group:
         ops.extend(task.pointwise.ops if task.pointwise else (task.name,))
+    if any(task.kernel is None for task in group):
+        # Kernel-less sub-launches (the advisor's plan replay): the
+        # fused launch is kernel-less too, merged nest or not.
+        kernel = None
+    elif nest is not None:
+        kernel = nest.kernel
     return TaskLaunch(
         name=fused_name([task.name for task in group]),
         requirements=requirements,
-        kernel=nest.kernel if nest is not None else kernel,
+        kernel=kernel,
         cost_fn=nest.cost if nest is not None else cost,
         scalars=scalars,
         pointwise=Pointwise(tuple(ops)),

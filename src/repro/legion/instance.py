@@ -304,21 +304,6 @@ class MemoryState:
             self._release(inst.alloc_bytes, inst.scale)
         return freed
 
-    def evict_lru(self, need_scaled: float) -> float:
-        """Drop least-recently-used instances until ``need_scaled`` bytes
-        are freed (or nothing is left); returns the scaled bytes freed.
-
-        Cleanliness-blind — the runtime's spill policy filters for
-        clean-vs-dirty via coherence before dropping; this raw form is
-        what the static advisor uses to *estimate* spill traffic.
-        """
-        freed = 0.0
-        for inst in self.lru_instances():
-            if freed >= need_scaled:
-                break
-            freed += self.drop_instance(inst)
-        return freed
-
     def lose(self) -> None:
         """Simulate losing this memory: all contents vanish, uncharged.
 

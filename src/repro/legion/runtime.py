@@ -28,7 +28,7 @@ import contextlib
 import math
 from dataclasses import dataclass, field
 from time import perf_counter as _perf
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -315,8 +315,8 @@ class Runtime:
         self._fusion_cache: Dict[
             tuple, Tuple[List[fusion.GroupPlan], List["object"]]
         ] = {}
-        # Generated nest specs per (window signature, group, elided /
-        # dead local ids, step dtypes).  Nest kernels reference only
+        # Generated nest specs per (window signature, group, elided
+        # local ids, step dtypes).  Nest kernels reference only
         # mangled requirement names — never regions — so a spec is
         # reusable across structurally identical windows; dtypes join
         # the key because the window signature does not carry them and
@@ -490,19 +490,26 @@ class Runtime:
     ) -> Region:
         """Create a region (host data becomes valid in node-0 sysmem)."""
         region = Region(shape, dtype, data=data, name=name, runtime=self)
-        coh = RegionCoherence()
-        self._coherence[region.uid] = coh
-        self._region_meta[region.uid] = (region.name, region.itemsize)
-        if data is not None and region.rect.volume() > 0:
-            # Attached host data: valid in node-0 system memory.  No
-            # instance is charged — attach semantics: the host copy is a
-            # staging fiction for data that real runs construct
-            # distributed (capacity accounting applies to the instances
-            # tasks map, like Legion attach).
-            coh.mark_valid(self._host_memory.uid, region.rect, self.issue_time)
+        self.register_region(region, attached=data is not None)
         if self.plan_trace is not None:
             self.plan_trace.record_region(region, attached=data is not None)
         return region
+
+    def register_region(self, region: Region, attached: bool) -> None:
+        """Start tracking an existing region's coherence and metadata.
+
+        ``attached`` regions hold host data, valid in node-0 system
+        memory.  No instance is charged — attach semantics: the host
+        copy is a staging fiction for data that real runs construct
+        distributed (capacity accounting applies to the instances tasks
+        map, like Legion attach).  The advisor's plan replay registers
+        the traced program's regions this way.
+        """
+        coh = RegionCoherence()
+        self._coherence[region.uid] = coh
+        self._region_meta[region.uid] = (region.name, region.itemsize)
+        if attached and region.rect.volume() > 0:
+            coh.mark_valid(self._host_memory.uid, region.rect, self.issue_time)
 
     def coherence(self, region: Region) -> RegionCoherence:
         """A region's validity-tracking state."""
@@ -519,9 +526,9 @@ class Runtime:
         temporaries are destroyed right after each expression statement,
         and flushing here would empty the window every statement and
         defeat fusion.  A region still referenced by a pending launch
-        has its instance recycling deferred until after the next flush
-        (the launch holds the region's backing array alive, so numerics
-        are unaffected)."""
+        has its instance recycling deferred until after the next flush:
+        the pending launch holds the region, so that is where a program
+        dropping its last handle frees it too."""
         if self._journaling:
             self._freed_uids.add(region.uid)
         if self.config.fastpath:
@@ -542,7 +549,15 @@ class Runtime:
             self._region_meta.pop(region.uid, None)
             self.instances.free_region(region.uid)
         if self.plan_trace is not None:
-            self.plan_trace.record_free(region.uid)
+            self.plan_trace.record_free(region)
+
+    def written_bytes(self) -> int:
+        """Bytes of every live region's task-written pieces: what a
+        checkpoint epoch must protect."""
+        return sum(
+            coh.written.volume() * self._region_meta.get(uid, ("", 8))[1]
+            for uid, coh in self._coherence.items()
+        )
 
     @property
     def num_procs(self) -> int:
@@ -731,7 +746,7 @@ class Runtime:
             self._window_refs.clear()
         t0 = _perf()
         try:
-            self._flush(window, frees)
+            self._flush(window)
         finally:
             # Regions freed while referenced by the (now executed or
             # abandoned) window: recycle their instances.
@@ -741,7 +756,7 @@ class Runtime:
                 self.instances.free_region(uid)
             self.profiler.record_host_phase("window-flush", _perf() - t0)
 
-    def _flush(self, window: List[TaskLaunch], frees: Sequence[int] = ()) -> None:
+    def _flush(self, window: List[TaskLaunch]) -> None:
         # Lazy imports: the analyzer/codegen reach repro.numeric, whose
         # package import comes back through this module.
         from repro.analysis import depend
@@ -762,7 +777,6 @@ class Runtime:
         plans, verdicts = cached
         self.profiler.record_host_phase("dependence", _perf() - t0)
         uid_of = {lid: uid for uid, lid in local.items()}
-        freed = frozenset(frees)
         for plan, verdict in zip(plans, verdicts):
             names = tuple(window[i].name for i in plan.indices)
             label = depend.verdict_label(
@@ -774,15 +788,10 @@ class Runtime:
                 elide_uids = frozenset(uid_of[lid] for lid in plan.elide)
                 nest = None
                 if label == "merged":
-                    # Elided temporaries already freed by the host are
-                    # provably dead: their stores are unobservable, so
-                    # the nest keeps them as values only.
-                    dead = frozenset(u for u in elide_uids if u in freed)
                     nest_key = (
                         key,
                         plan.indices,
                         plan.elide,
-                        frozenset(local[u] for u in dead),
                         tuple(
                             str(
                                 next(
@@ -796,9 +805,7 @@ class Runtime:
                     )
                     nest = self._nest_cache.get(nest_key)
                     if nest is None:
-                        nplan = depend.build_nest_plan(
-                            group, elide_uids, dead
-                        )
+                        nplan = depend.build_nest_plan(group, elide_uids)
                         nest = codegen.generate_nest(nplan)
                         self._nest_cache[nest_key] = nest
                     self.profiler.record_kernel_merge(
@@ -813,9 +820,9 @@ class Runtime:
     def _sync(self, why: str) -> None:
         """A synchronization point: flush the window, note it in the plan.
 
-        The plan note lets the advisor's window simulation split its
-        groups exactly where the runtime does — sync points are control
-        flow the op stream alone cannot reveal.
+        The plan note lets the advisor's replay flush its window exactly
+        where this runtime does — sync points are control flow the op
+        stream alone cannot reveal.
         """
         if self.plan_trace is not None:
             self.plan_trace.record_note("sync", why=why)
@@ -1031,7 +1038,10 @@ class Runtime:
                 )
 
             if not replay:
-                partial = task.kernel(ctx)
+                # A kernel-less launch (the advisor's plan replay) is
+                # mapped, staged and timed like any other; its shards
+                # contribute placeholder partials to the allreduce.
+                partial = task.kernel(ctx) if task.kernel is not None else 0.0
                 if task.reduction is not None:
                     partials.append(partial)
                     partial_times.append(finish)
@@ -1777,14 +1787,6 @@ class Runtime:
         """Distributed fill of a region with a constant."""
         part = partition or Tiling.create(region, self.num_procs)
         pointwise = Pointwise(("fill",), expr=(("scalar", "value"),), out="out")
-        if self.plan_trace is not None:
-            self.plan_trace.record_fill(
-                region, part, Privilege.WRITE_DISCARD, value,
-                pointwise=pointwise,
-            )
-            if self.plan_trace.deferred:
-                return
-        self.profiler.record_fill()
 
         def kernel(ctx: ShardContext) -> None:
             ctx.view("out")[...] = value
@@ -1792,6 +1794,15 @@ class Runtime:
         def cost(ctx: ShardContext) -> tuple:
             vol = ctx.rect("out").volume()
             return (0.0, vol * region.itemsize)
+
+        if self.plan_trace is not None:
+            self.plan_trace.record_fill(
+                region, part, Privilege.WRITE_DISCARD, value, cost,
+                pointwise=pointwise,
+            )
+            if self.plan_trace.deferred:
+                return
+        self.profiler.record_fill()
 
         self.launch(
             TaskLaunch(

@@ -223,9 +223,11 @@ class SparseService:
         Under the asyncio backend each tenant is a client coroutine
         submitting its stream concurrently while a consumer coroutine
         drains windows — the multi-client serving shape.  Under the
-        sequential backends all requests are admitted in arrival order
-        and drained.  Results are bitwise-identical either way (window
-        composition may differ; batching never changes bits).
+        sequential backends requests are admitted in arrival order, and
+        every window that starts before a request arrives is served
+        before it is admitted, so the bounded queues see the depth a
+        live server would.  Results are bitwise-identical either way
+        (window composition may differ; batching never changes bits).
         """
         backend = self.runtime.backend
         if isinstance(backend, AsyncioBackend):
@@ -257,9 +259,21 @@ class SparseService:
             ),
             key=lambda item: item[0],
         )
-        for arrival, tenant, x in ordered:
-            self.submit(tenant, x, arrival)
-        return self.run()
+
+        def serve_in_order() -> None:
+            for arrival, tenant, x in ordered:
+                while (
+                    self.scheduler.pending
+                    and max(self.runtime.issue_time,
+                            self.scheduler.earliest_arrival()) < arrival
+                ):
+                    if not self._run_window():
+                        break
+                self.submit(tenant, x, arrival)
+            self._drain()
+
+        self.runtime.backend.run_programs([serve_in_order])
+        return self.responses
 
     def _run_window(self) -> bool:
         """One scheduling round; False when nothing could progress."""

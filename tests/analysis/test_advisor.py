@@ -82,7 +82,11 @@ def test_capacity_overflow_is_error():
 
 
 def test_spill_downgrades_capacity_to_warning():
-    """With config.spill, relievable overflow becomes spill traffic."""
+    """With config.spill, relievable overflow becomes spill traffic.
+
+    Fusion is off so the eight arrays materialize: with it on, each
+    fill fuses into the add that reads it and the array is elided.
+    """
 
     def workload():
         import repro.numeric as rnp
@@ -99,13 +103,15 @@ def test_spill_downgrades_capacity_to_warning():
             workload,
             machine=laptop(),
             procs=2,
-            config=RuntimeConfig.legate(data_scale=40.0, spill=spill),
+            config=RuntimeConfig.legate(
+                data_scale=40.0, spill=spill, fusion=False
+            ),
         )
 
     degraded = run(spill=True)
     spills = [f for f in degraded.findings if f.rule == "spill"]
     assert spills and all(f.severity == "warning" for f in spills)
-    assert "evicts/spills an estimated" in spills[0].message
+    assert "spill policy evicts" in spills[0].message
     assert "capacity" not in rules(degraded)
     assert not degraded.errors
 
@@ -136,6 +142,26 @@ def test_spill_cannot_relieve_single_oversized_region():
         f.rule == "capacity" and f.severity == "error"
         for f in advice.findings
     )
+
+
+def test_unsolvable_constraints_are_an_error():
+    def workload():
+        import repro.numeric as rnp
+        from repro.constraints.task import AutoTask
+        from repro.legion.runtime import get_runtime
+
+        x = rnp.ones(64)
+        y = rnp.ones(64)
+        task = AutoTask(get_runtime(), "aligned_and_broadcast", lambda ctx: None)
+        task.add_input("x", x.store)
+        task.add_output("y", y.store)
+        task.add_alignment_constraint(x.store, y.store)
+        task.add_broadcast(x.store)
+        task.execute()
+
+    advice = advise(workload, machine=laptop(), procs=2)
+    errors = [f for f in advice.errors if f.rule == "constraints"]
+    assert errors and "aligned_and_broadcast" in errors[0].message
 
 
 def test_dead_write_detected():

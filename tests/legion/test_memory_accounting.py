@@ -106,15 +106,6 @@ class TestEviction:
         assert st.drop_instance(inst) == 0.0
         assert st.used_bytes == 0
 
-    def test_evict_lru_frees_just_enough(self):
-        st = _state(fb_mb=1.0)
-        st.ensure(0, rect(1_000), 8)
-        st.ensure(1, rect(1_000), 8)
-        st.ensure(2, rect(1_000), 8)
-        freed = st.evict_lru(10_000)
-        assert freed == 16_000  # two oldest instances
-        assert set(st.instances) == {2}
-
     def test_lose_wipes_contents_but_keeps_peak(self):
         st = _state(fb_mb=1.0)
         st.ensure(0, rect(10_000), 8)
