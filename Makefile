@@ -50,11 +50,10 @@ bench:
 	python scripts/bench.py
 	python scripts/format.py
 
-# Host-overhead benchmark: CG at summit:64 and summit:1024 with the
-# host fast path on vs off, writes BENCH_runtime_overhead.json and
-# fails unless the fast path is strictly faster (host seconds per 1k
-# launches) at both scales with bitwise-identical solutions, modeled
-# times and checker-clean validated identity runs.
+# Host-overhead benchmark: CG host seconds per 1k launches at summit:64
+# and summit:1024, writes BENCH_runtime_overhead.json and fails unless
+# every run reproduces the committed modeled times and solution sha256
+# and the validated identity runs are checker-clean.
 overhead:
 	python scripts/overhead.py
 

@@ -1,16 +1,16 @@
-"""Benchmark: static auto-format selection beats CSR on skewed SpMV.
+"""Benchmark: static format selection beats CSR on skewed SpMV.
 
 On a seeded power-law matrix (row skew ~27x), the static selector
-recommends a row-length-sensitive format (SELL-C-sigma), the runtime's
-``RuntimeConfig.autoformat`` hook converts to exactly that format at
-first launch, and the advised loop charges strictly less modeled
-compute than plain CSR — with bitwise-identical numerics.
+recommends a row-length-sensitive format (SELL-C-sigma) whose one-time
+conversion amortizes within the timed loop, and the loop on the
+converted matrix charges strictly less modeled compute than plain CSR —
+with bitwise-identical numerics.
 """
 
 from repro.harness.format_bench import SPMV_ITERS, bench_spmv, static_advice
 
 
-def test_skew_spmv_autoformat(benchmark):
+def test_skew_spmv_advised_format(benchmark):
     advice = static_advice()
     assert advice["recommended_format"] != "csr"
     assert advice["best_op_seconds"] < advice["csr_op_seconds"]
@@ -18,9 +18,11 @@ def test_skew_spmv_autoformat(benchmark):
     assert advice["break_even_ops"] <= SPMV_ITERS
 
     advised = benchmark.pedantic(
-        lambda: bench_spmv(autoformat=True), rounds=1, iterations=1
+        lambda: bench_spmv(fmt=advice["recommended_format"]),
+        rounds=1,
+        iterations=1,
     )
-    baseline = bench_spmv(autoformat=False)
+    baseline = bench_spmv()
     print(
         f"\nskew SpMV: kernel "
         f"{baseline['modeled_kernel_seconds'] * 1e3:.3f} -> "
@@ -28,13 +30,6 @@ def test_skew_spmv_autoformat(benchmark):
         f"({advice['recommended_format']}, "
         f"break-even {advice['break_even_ops']:g} ops)"
     )
-    assert baseline["conversions"] == []
-    assert len(advised["conversions"]) == 1
-    conversion = advised["conversions"][0]
-    assert conversion["dst_fmt"] == advice["recommended_format"]
-    assert conversion["rows"] == advised["rows"]
-    assert conversion["nnz"] == advised["nnz"]
-    assert advised["iters"] >= conversion["break_even_ops"]
     assert (
         advised["modeled_kernel_seconds"]
         < baseline["modeled_kernel_seconds"]

@@ -13,9 +13,9 @@ operand and prints a ranked recommendation:
     python -m repro.analysis advise examples/format_advisor_demo.py \\
         --autoformat
 
-To let the runtime act on the advice (convert at first launch,
-bitwise-identical results), enable ``RuntimeConfig.autoformat`` —
-see ``repro.harness.format_bench`` for the measured comparison.
+To act on the advice, convert the operand before the loop with
+``A.asformat("sell")`` (bitwise-identical results) — see
+``repro.harness.format_bench`` for the measured comparison.
 """
 
 import argparse

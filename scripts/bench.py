@@ -48,9 +48,7 @@ def format_pair(key: str, pair: dict) -> str:
             f"  fused groups:    {fused['fused_tasks']} "
             f"({fused['tasks_fused_away']} launches merged, "
             f"{fused['regions_elided']} temporaries elided)",
-            f"  kernel fusion:   {fused['kernel_merges']} merged loop nests "
-            f"({fused['nest_temps_eliminated']} temporaries never "
-            f"materialized)",
+            f"  kernel fusion:   {fused['kernel_merges']} merged loop nests",
             f"  host wall clock: unfused {unfused['host_wall_clock_s']:.3f}s, "
             f"replay {replay['host_wall_clock_s']:.3f}s, "
             f"merged {fused['host_wall_clock_s']:.3f}s",

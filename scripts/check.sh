@@ -65,12 +65,11 @@ for key in ("fig9_cg", "fig10_gmg"):
 print("BENCH_fusion kernel-fusion payload OK")
 PYEOF
 
-echo "== host-overhead smoke (fast path on vs off at summit:64) =="
-# --smoke runs the first scale point only (the summit:1024 slow-path
-# run takes minutes) plus both validated identity workloads; the
-# driver exits non-zero unless fastpath-on is strictly below
-# fastpath-off in host seconds per 1k launches, bitwise-identically
-# and checker-clean.
+echo "== host-overhead smoke (CG host seconds per 1k launches at summit:64) =="
+# --smoke runs the first scale point only plus both validated identity
+# workloads; the script exits non-zero unless every run reproduces the
+# modeled time and solution sha256 committed in
+# BENCH_runtime_overhead.json and every validated run is checker-clean.
 python scripts/overhead.py --smoke \
     --output BENCH_runtime_overhead.smoke.json > /dev/null
 

@@ -16,6 +16,10 @@ invariant:
 * the pinned ``replicas=2`` node-0-loss scenario *completes* — losing
   the primary checkpoint store is survivable once replicated.
 
+It refuses (exit 2, nothing written) to overwrite the committed
+``BENCH_soak.json`` with fewer than the default 22 scenarios; smaller
+smoke runs pass ``--output``.
+
 Usage::
 
     PYTHONPATH=src python scripts/soak.py [--scenarios 22] [--seed 0]
@@ -30,6 +34,9 @@ import pathlib
 import sys
 
 from repro.harness.soak_bench import run_soak
+
+DEFAULT_SCENARIOS = 22
+COMMITTED = pathlib.Path(__file__).resolve().parent.parent / "BENCH_soak.json"
 
 
 def format_scenario(rec: dict) -> str:
@@ -57,15 +64,18 @@ def format_scenario(rec: dict) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scenarios", type=int, default=22)
+    parser.add_argument("--scenarios", type=int, default=DEFAULT_SCENARIOS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--output",
-        type=pathlib.Path,
-        default=pathlib.Path(__file__).resolve().parent.parent
-        / "BENCH_soak.json",
-    )
+    parser.add_argument("--output", type=pathlib.Path, default=COMMITTED)
     args = parser.parse_args(argv)
+    if (
+        args.scenarios < DEFAULT_SCENARIOS
+        and args.output.resolve() == COMMITTED
+    ):
+        parser.error(
+            f"--scenarios {args.scenarios} would overwrite {COMMITTED.name} "
+            f"with fewer than {DEFAULT_SCENARIOS} scenarios; pass --output"
+        )
 
     payload = run_soak(scenarios=args.scenarios, seed=args.seed)
     args.output.write_text(json.dumps(payload, indent=2) + "\n")

@@ -894,9 +894,8 @@ def analyze(
 
     format_advice: List[FormatAdvice] = []
     if options.autoformat:
-        # The pass answers "should this plan run under
-        # RuntimeConfig.autoformat?" — so unamortized conversions
-        # escalate to errors (autoformat_on) and gate the CLI exit code.
+        # The pass is a CI gate: unamortized conversions escalate to
+        # errors (autoformat_on) and set the CLI exit code.
         format_advice, format_lints = advise_formats(
             plan, scope, config, autoformat_on=True
         )

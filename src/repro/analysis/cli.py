@@ -145,8 +145,6 @@ def _profile_main(argv: List[str]) -> int:
         print(f"wrote Chrome trace: {args.chrome} ({len(timeline)} spans)")
     print(timeline.format_ascii(top=args.top))
     meta = timeline.meta
-    if "fastpath" in meta:
-        print(f"host fast path: {'on' if meta['fastpath'] else 'off'}")
     phases = meta.get("host_phases") or {}
     if phases:
         total = sum(phases.values())

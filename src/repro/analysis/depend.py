@@ -439,9 +439,7 @@ class NestStep:
     ``("scalar", mangled)`` reads a fused scalar argument, and
     ``("un"/"bin", op)`` apply canonical op-table callables.  The
     computed value is cast to ``dtype`` — the bitwise-exact emulation
-    of replay's ``out[...] = expr`` store — and written to ``out``
-    unless the backing region is a dead elided temporary
-    (``store=False``: the array never materializes at all).
+    of replay's ``out[...] = expr`` store — and written to ``out``.
     """
 
     index: int
@@ -450,8 +448,6 @@ class NestStep:
     out: str  # mangled requirement name
     out_uid: int
     dtype: str  # np.dtype().str — round-trips through np.dtype()
-    store: bool
-    elided: bool
     # Flops per output element, matching the sub-launch's own cost
     # model exactly (fill: 0; ufunc: 1; lazy chain: max(ops, 1)) so a
     # merged group reports the same modeled flops as replay.
@@ -475,17 +471,12 @@ class NestPlan:
     reads: Tuple[str, ...]
     charged_writes: Tuple[str, ...]
 
-    @property
-    def temps_eliminated(self) -> int:
-        """Dead elided temporaries that never materialize anywhere."""
-        return sum(1 for step in self.steps if not step.store)
-
     def key(self) -> tuple:
         """Hashable identity of the generated source (memoization)."""
         return (
             tuple(
                 (
-                    s.name, s.program, s.out, s.dtype, s.store, s.weight,
+                    s.name, s.program, s.out, s.dtype, s.weight,
                 )
                 for s in self.steps
             ),
@@ -494,19 +485,11 @@ class NestPlan:
         )
 
 
-def build_nest_plan(
-    group: Sequence[TaskLaunch],
-    elide_uids: frozenset,
-    dead_uids: frozenset = frozenset(),
-) -> NestPlan:
+def build_nest_plan(group: Sequence[TaskLaunch]) -> NestPlan:
     """Lower a merge-safe group of concrete launches to a nest plan.
 
     Callers must have classified the group merge-safe first (the
-    runtime does; see ``Runtime._flush``).  ``elide_uids`` are the
-    region uids the fusion plan elides; ``dead_uids`` the subset also
-    freed before the flush — their stores are provably unobservable
-    (no instance *and* no later host read), so the nest skips them
-    entirely and the temporary exists only as a nest value.
+    runtime does; see ``Runtime._flush``).
 
     Requirement/scalar names are mangled ``"<i>.<name>"`` exactly as
     :func:`repro.legion.fusion.fuse` mangles them, so the generated
@@ -546,8 +529,6 @@ def build_nest_plan(
                 ops += 1
                 program.append((kind, optable.canonical(arg)))
         out_uid = out_req.region.uid
-        elided = out_uid in elide_uids
-        store = not (elided and out_uid in dead_uids)
         # Per-element flops mirroring the sub cost models exactly: a
         # fill moves bytes but computes nothing; everything else is
         # charged one flop per op per element, floored at one pass.
@@ -560,13 +541,11 @@ def build_nest_plan(
                 out=f"{i}.{pw.out}",
                 out_uid=out_uid,
                 dtype=np.dtype(out_req.region.data.dtype).str,
-                store=store,
-                elided=elided,
                 weight=weight,
             )
         )
         producer[out_uid] = i
-        if store and out_uid not in seen_writes:
+        if out_uid not in seen_writes:
             seen_writes.add(out_uid)
             charged.append(f"{i}.{pw.out}")
     return NestPlan(tuple(steps), tuple(reads), tuple(charged))

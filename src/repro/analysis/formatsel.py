@@ -24,10 +24,9 @@ The pass is three stages:
    lints ``format-skew``, ``format-padding-waste`` and
    ``format-convert-unamortized``.
 
-The runtime auto-format hook (``RuntimeConfig.autoformat``) calls the
-same :func:`select_format`, so advisor predictions and runtime decisions
-agree by construction; the selector itself never reads
-``config.autoformat``.  Like the rest of :mod:`repro.analysis`, module
+The runtime never converts on its own: a program (or the format bench,
+:mod:`repro.harness.format_bench`) applies a recommendation with
+``asformat``.  Like the rest of :mod:`repro.analysis`, module
 import pulls in nothing from :mod:`repro.legion` or :mod:`repro.distal`
 (the tile-boundary helper resolves lazily).
 """
@@ -307,9 +306,7 @@ def select_format(profile: FormatProfile, scope, config) -> FormatDecision:
 
     ``scope`` is the runtime's :class:`~repro.machine.MachineScope`;
     ``config`` supplies ``data_scale`` and the paper's §3
-    ``local_reshape_penalty`` that CSR-family kernels pay.  The
-    selector never consults ``config.autoformat`` — advisor analysis
-    and the runtime hook must reach identical decisions.
+    ``local_reshape_penalty`` that CSR-family kernels pay.
     """
     procs = scope.processors
     boundaries = tile_boundaries(profile.rows, len(procs))
@@ -489,10 +486,9 @@ def advise_formats(
 
     Returns ``(advice, lints)`` where each lint is a plain
     ``(severity, rule, message)`` triple the advisor wraps into its
-    :class:`~repro.analysis.advisor.Finding` type.  When
-    ``autoformat_on`` (the analyzed config would convert at runtime),
-    an unamortized conversion escalates from warning to error so
-    ``advise --autoformat`` can gate CI.
+    :class:`~repro.analysis.advisor.Finding` type.  With
+    ``autoformat_on`` an unamortized conversion escalates from warning
+    to error so ``advise --autoformat`` can gate CI.
     """
     groups: Dict[int, Dict[str, object]] = {}
     for op in plan.ops:
@@ -607,7 +603,7 @@ def advise_formats(
                 f"amortizes after {best.break_even_ops:g} SpMVs but the "
                 f"plan performs only {entry.ops_observed}"
                 + (
-                    "; the autoformat runtime would convert anyway"
+                    "; the conversion would cost more than it saves"
                     if autoformat_on
                     else ""
                 ),

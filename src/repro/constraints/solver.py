@@ -81,8 +81,9 @@ def solve_partitions(
 ) -> Dict[int, Partition]:
     """Assign a partition to every store; keys are region uids.
 
-    ``image_cache`` is the runtime's optional
-    :class:`repro.legion.fastpath.ImagePartitionCache`: image
+    ``image_cache`` is the runtime's
+    :class:`repro.legion.fastpath.ImagePartitionCache` (None: no
+    caching): image
     constraints re-read source region data on every solve, and the
     cache skips that read when the source has not been written since
     (bitwise-identical geometry either way).
@@ -206,7 +207,7 @@ def solve_signature(
     """A hashable *structural* signature of a solve, or None.
 
     Two calls to :func:`solve_partitions` with equal signatures produce
-    structurally interchangeable solutions, so the runtime's fast path
+    structurally interchangeable solutions, so the runtime
     memoizes on it (:class:`repro.legion.fastpath.SolveMemo`).  The
     signature is positional, not uid-based: stores are identified by
     their index in the call (with region aliasing captured by mapping
@@ -282,7 +283,7 @@ def solution_plan(
 ) -> Optional[tuple]:
     """A structural recipe for rebuilding ``solution``, or None.
 
-    The fast path's solve memo must not hold partition objects: they
+    The runtime's solve memo must not hold partition objects: they
     reference regions, and a region kept alive by a cache entry never
     reaches its destructor, so its instances are never recycled into
     the allocation pool — silently changing mapping behaviour.  The

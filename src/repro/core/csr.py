@@ -199,10 +199,6 @@ class csr_matrix(spmatrix):
         return csr_matrix(self, dtype=out_dtype)
 
     def _matvec(self, x: ndarray) -> ndarray:
-        if self._runtime.config.autoformat:
-            alt = self._autoformat_alt()
-            if alt is not self:
-                return alt._matvec(x)
         A = self._promoted(x.dtype)
         out_dtype = A.dtype
         y = rnp.empty(self.shape[0], dtype=out_dtype)
@@ -211,57 +207,6 @@ class csr_matrix(spmatrix):
         stores.update({"y": y.store, "x": x.store})
         launch(spec, self._runtime, stores)
         return y
-
-    def _autoformat_alt(self):
-        """Auto-format hook: replay the format selector at first SpMV.
-
-        Runs the same :func:`~repro.analysis.formatsel.select_format`
-        the static advisor uses, so runtime decisions match advisor
-        predictions exactly; converts only to bitwise-safe formats and
-        caches the result (self is the stay-CSR sentinel).
-        """
-        cached = getattr(self, "_autoformat_cache", None)
-        if cached is not None:
-            return cached
-        from repro.analysis.formatsel import profile_matrix, select_format
-
-        rt = self._runtime
-        rt.barrier()
-        pos = self.pos.data
-        rl = (pos[:, 1] - pos[:, 0]).astype(np.int64)
-        profile = profile_matrix(
-            rl,
-            self.shape[1],
-            self.dtype.itemsize,
-            num_procs=len(rt.scope.processors),
-        )
-        decision = select_format(profile, rt.scope, rt.config)
-        best = decision.best
-        if best.fmt == "csr" or not best.bitwise_safe:
-            self._autoformat_cache = self
-            return self
-        alt = self.asformat(best.fmt)
-        self._autoformat_cache = alt
-        rt.autoformat_log.append(
-            {
-                "rows": profile.rows,
-                "cols": profile.cols,
-                "nnz": profile.nnz,
-                "dst_fmt": best.fmt,
-                "predicted_op_seconds": best.op_seconds,
-                "csr_op_seconds": decision.csr_seconds,
-                "convert_seconds": best.convert_seconds,
-                "break_even_ops": best.break_even_ops,
-            }
-        )
-        self._advisor_note(
-            "autoformat",
-            src_fmt="csr",
-            dst_fmt=best.fmt,
-            rows=profile.rows,
-            nnz=profile.nnz,
-        )
-        return alt
 
     def _rmatvec(self, x: ndarray) -> ndarray:
         A = self._promoted(x.dtype)

@@ -1,23 +1,20 @@
-"""CSR-vs-advised-format measurement harness (auto-format selection).
+"""CSR-vs-advised-format measurement harness (static format selection).
 
 Runs a power-law-skew SpMV workload (:mod:`repro.harness.skew`) twice —
-once with plain CSR and once with ``RuntimeConfig.autoformat`` enabled,
-which lets the runtime convert the operand to the statically selected
-format (SELL-C-sigma on this workload) at its first launch — and
-reports for each mode:
+once with plain CSR and once converted with ``asformat`` to the format
+the static selector (:mod:`repro.analysis.formatsel`) picks
+(SELL-C-sigma on this workload) — and reports for each format:
 
 * modeled loop time and summed per-shard kernel seconds (the format
   selector's objective),
-* the runtime's ``autoformat_log`` (what converted, to what, predicted
-  win and break-even),
 * host wall-clock for the timed section,
 * a bitwise digest of the result vector.
 
 :func:`run_all` packages the pair into the ``BENCH_format.json``
 payload written by ``scripts/format.py``; ``benchmarks/test_format.py``
-asserts the acceptance bar on the same dicts (a non-CSR recommendation,
-strictly lower modeled compute, identical bits, and advisor/runtime
-agreement on the chosen format).
+asserts the acceptance bar on the same dicts (a non-CSR recommendation
+that amortizes within the loop, strictly lower modeled compute and
+identical bits).
 """
 
 from __future__ import annotations
@@ -54,19 +51,19 @@ def bench_spmv(
     n: int = SKEW_N,
     m: int = SKEW_M,
     iters: int = SPMV_ITERS,
-    autoformat: bool = False,
+    fmt: str = "csr",
 ) -> Dict:
-    """One skew-SpMV run; returns the metrics dict."""
+    """One skew-SpMV run on the matrix in format ``fmt``; returns the
+    metrics dict."""
     machine = machine or summit(nodes=1)
     scipy_mat = power_law_csr(n, m, seed=SKEW_SEED)
     rt = Runtime(
-        machine.scope(ProcessorKind.GPU, procs),
-        RuntimeConfig.legate(autoformat=autoformat),
+        machine.scope(ProcessorKind.GPU, procs), RuntimeConfig.legate()
     )
     with runtime_scope(rt):
-        A = sp.csr_matrix(scipy_mat)
+        A = sp.csr_matrix(scipy_mat).asformat(fmt)
         x = rnp.ones(m)
-        y = A @ x  # warm-up: staging + the one-time auto-conversion
+        y = A @ x  # warm-up: staging
         t0 = rt.barrier()
         snap = rt.profiler.snapshot()
         wall0 = time.perf_counter()
@@ -76,9 +73,8 @@ def bench_spmv(
         wall1 = time.perf_counter()
         delta = rt.profiler.since(snap)
         digest = _digest(y)
-        conversions = [dict(entry) for entry in rt.autoformat_log]
     return {
-        "autoformat": autoformat,
+        "format": fmt,
         "iters": iters,
         "rows": n,
         "cols": m,
@@ -87,7 +83,6 @@ def bench_spmv(
         "modeled_kernel_seconds": delta.kernel_seconds,
         "tasks_launched": delta.tasks_launched,
         "host_wall_clock_s": wall1 - wall0,
-        "conversions": conversions,
         "solution_sha256": digest,
     }
 
@@ -118,20 +113,16 @@ def static_advice(
 
 
 def run_all(procs: int = 2) -> Dict:
-    """The full BENCH_format payload: static advice plus both modes."""
+    """The full BENCH_format payload: static advice plus both formats."""
     advice = static_advice(procs=procs)
-    baseline = bench_spmv(procs=procs, autoformat=False)
-    advised = bench_spmv(procs=procs, autoformat=True)
-    converted = advised["conversions"]
-    runtime_fmt = converted[0]["dst_fmt"] if converted else "csr"
+    baseline = bench_spmv(procs=procs)
+    advised = bench_spmv(procs=procs, fmt=advice["recommended_format"])
     return {
-        "benchmark": "auto-format selection (power-law skew SpMV)",
+        "benchmark": "static format selection (power-law skew SpMV)",
         "machine": f"summit:1 x {procs} GPUs (simulated)",
         "static_advice": advice,
         "csr": baseline,
         "advised": advised,
-        "advised_format": runtime_fmt,
-        "advisor_agrees": runtime_fmt == advice["recommended_format"],
         "kernel_seconds_ratio": (
             advised["modeled_kernel_seconds"]
             / baseline["modeled_kernel_seconds"]

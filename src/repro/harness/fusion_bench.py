@@ -83,7 +83,6 @@ def _measure(
         "tasks_fused_away": delta.tasks_fused_away,
         "regions_elided": delta.regions_elided,
         "kernel_merges": delta.kernel_merges,
-        "nest_temps_eliminated": delta.nest_temps_eliminated,
         "copy_bytes": {k: int(v) for k, v in delta.copy_bytes.items() if v},
         "host_wall_clock_s": wall1 - wall0,
         "solution_sha256": digest,

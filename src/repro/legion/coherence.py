@@ -172,11 +172,11 @@ class RegionCoherence:
 
         ``writes`` is ``(memory_uid, rect, time)`` per color, in color
         order, empty rects omitted, where the rects are the tiles of a
-        disjoint partition covering the whole region (the fast path's
-        eligibility check, :func:`repro.legion.fastpath
+        disjoint partition covering the whole region (the runtime's
+        batched-write eligibility check, :func:`repro.legion.fastpath
         .eligible_write_reqs`, guarantees this).  Under that geometry
-        the sequential slow path converges to a state independent of
-        prior validity — every pre-existing piece is subtracted away
+        the sequential ``mark_written`` loop converges to a state
+        independent of prior validity — every pre-existing piece is subtracted away
         tile by tile, each written memory ends holding exactly its own
         tiles in color order, and ``written`` receives the same
         per-tile add sequence — so one pass reproduces it exactly

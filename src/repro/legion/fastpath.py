@@ -1,10 +1,10 @@
-"""Host-side fast path: caches and batched analyses for the runtime.
+"""Host-side caches and batched analyses for the runtime.
 
 The simulated runtime is numerically exact but pays real host CPU for
 every launch: per-color coherence rebuilds, instance-store scans and
 constraint solves are Python loops whose cost dwarfs the *modeled* time
 at scale (BENCH_runtime_overhead.json measures the gap).  This module
-holds the machinery ``RuntimeConfig.fastpath`` turns on:
+holds the runtime's host-side shortcuts:
 
 * :class:`InstanceLookupCache` — a version-checked memo of
   ``(memory, region, rect) -> Instance`` resolutions, so steady-state
@@ -20,13 +20,15 @@ holds the machinery ``RuntimeConfig.fastpath`` turns on:
   coherence state is independent of the interleaving.
 * :class:`SolveMemo` — bounded container for constraint-solve
   memoization keyed by structural signature
-  (:func:`repro.constraints.solver.solve_signature`).
+  (:func:`repro.constraints.solver.solve_signature`);
+* :class:`ImagePartitionCache` — image-partition geometry keyed by the
+  source region's write epoch.
 
-Everything here is bitwise-neutral by construction: with
-``fastpath=False`` the runtime takes the original per-requirement
-paths, and the fast path must produce identical modeled times, event
-logs and numerics (``tests/legion/test_fastpath.py`` proves it across
-spill, eviction, chaos loss and journal replay).
+Everything here is bitwise-neutral by construction: the runtime
+produces the modeled times, event logs and numerics the original
+per-requirement analyses did (``tests/legion/test_fastpath.py``
+checks them against reference values recorded from those analyses,
+across spill, eviction, chaos loss and journal replay).
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def eligible_write_reqs(task, replay: bool, freed_uids) -> dict:
 
     A write requirement is eligible when deferring its ``mark_written``
     calls to one end-of-launch :meth:`RegionCoherence.write_complete`
-    is provably identical to the sequential slow path:
+    is provably identical to the sequential per-color calls:
 
     * exclusive write privilege (WRITE / WRITE_DISCARD — REDUCE folds
       interleave with copies and are batched separately by the fold

@@ -33,11 +33,8 @@ class Profiler:
     tasks_fused_away: int = 0
     regions_elided: int = 0
     # Kernel fusion (repro.analysis.depend): fused groups the dependence
-    # analyzer proved merge-safe and executed as one generated loop
-    # nest, and elided temporaries whose backing stores were skipped
-    # entirely (dead after the window — the array never materializes).
+    # analyzer proved merge-safe and executed as one generated loop nest.
     kernel_merges: int = 0
-    nest_temps_eliminated: int = 0
     launch_overhead_seconds: float = 0.0
     # Modeled kernel execution time summed over every shard (the format
     # selector's ``total_seconds`` replays exactly this accumulation;
@@ -82,7 +79,7 @@ class Profiler:
     copy_count: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     copy_bytes: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     task_counts: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    # Host fast path (repro.legion.fastpath): wall-clock seconds the
+    # Host-side mechanism (repro.legion.fastpath): wall-clock seconds the
     # host process spent per runtime phase ("window-flush",
     # "dependence", "constraint-solve", "mapping", "event-advance") and
     # cache hit/miss counters (lookup_hits/lookup_misses for the
@@ -131,10 +128,9 @@ class Profiler:
         self.tasks_fused_away += group_size - 1
         self.regions_elided += elided
 
-    def record_kernel_merge(self, group_size: int, temps_eliminated: int) -> None:
+    def record_kernel_merge(self) -> None:
         """Count one merge-safe group executed as a single loop nest."""
         self.kernel_merges += 1
-        self.nest_temps_eliminated += temps_eliminated
 
     def record_launch_overhead(self, seconds: float) -> None:
         """Accumulate issue-clock launch overhead."""
@@ -241,9 +237,7 @@ class Profiler:
             )
         if self.kernel_merges:
             lines.append(
-                f"kernel fusion:    {self.kernel_merges} merged loop nests "
-                f"({self.nest_temps_eliminated} temporaries never "
-                f"materialized)"
+                f"kernel fusion:    {self.kernel_merges} merged loop nests"
             )
         if self.launch_overhead_seconds:
             lines.append(

@@ -129,13 +129,6 @@ class RuntimeConfig:
     # differently: a 2-D grid's halo grows with sqrt(N), a banded
     # matrix's halo not at all, the quantum Hamiltonian's with N.
     comm_scale: float | None = None
-    # Automatic format selection (repro.analysis.formatsel): at a CSR
-    # matrix's first SpMV, replay the static format selector against
-    # the machine model and convert the operand to the modeled-best
-    # bitwise-safe format (ELL / SELL-C-sigma / HYB).  Off by default
-    # and forced off under harness.config.paper_legate — the paper's
-    # system speaks CSR/COO only, so published figures are unchanged.
-    autoformat: bool = False
     # Validation mode (repro.analysis): record an event log of every
     # launch/shard/copy/fold, sanitize kernel arguments (read-only READ
     # views, NaN-poisoned WRITE_DISCARD rects) and assert reads are
@@ -149,16 +142,6 @@ class RuntimeConfig:
     # comparison systems and under harness.config.paper_legate, whose
     # Fig. 11/12 OOM outcomes are the published result.
     spill: bool = True
-    # Host-side fast path (repro.legion.fastpath): batched coherence
-    # write analysis, a version-checked instance lookup cache, memoized
-    # constraint solving by structural signature, and the deferred
-    # window's reference counts.  This trades host CPU for nothing
-    # simulated: modeled times, event logs and numerics are
-    # bitwise-identical with the flag off (the overhead bench and
-    # tests/legion/test_fastpath.py enforce it).  On by default; pinned
-    # off under harness.config.paper_legate so the published figure
-    # paths exercise the original per-requirement analyses.
-    fastpath: bool = True
     # Deterministic fault injection (repro.legion.chaos): None means no
     # injection; defaults from the REPRO_CHAOS environment variable.
     chaos: Optional[ChaosConfig] = field(default_factory=chaos_default)
@@ -328,11 +311,6 @@ class Runtime:
         # "replay:<reason>".  The advisor's capture-alongside agreement
         # test compares its predictions to this, group for group.
         self.fusion_log: List[Tuple[Tuple[str, ...], int, str]] = []
-        # Every runtime auto-format conversion, in order (see
-        # RuntimeConfig.autoformat and csr_matrix._autoformat_alt).
-        # The advisor agreement test compares its (rows, nnz, dst_fmt)
-        # entries against ``advise --autoformat`` predictions.
-        self.autoformat_log: List[dict] = []
         self.machine.reset_channels()
         # Host staging memory: node-0 system memory.
         self._host_memory = next(
@@ -374,27 +352,21 @@ class Runtime:
         # Region metadata the spill/checkpoint paths need after mapping
         # (uid -> (name, itemsize)); dropped on free.
         self._region_meta: Dict[int, Tuple[str, int]] = {}
-        # Host fast path (repro.legion.fastpath, RuntimeConfig.fastpath):
-        # the version-checked instance lookup cache, the constraint-solve
-        # memo consulted by AutoTask.execute, per-region-uid reference
-        # counts over the deferred window (replacing free_region's
-        # window scan), and the in-flight batched-write map (region
-        # name -> (coherence, [(mem_uid, rect, t)])) that _execute
-        # defers per-color mark_written calls into.  All None/empty
-        # when the fast path is off.
-        self._lookup_cache = (
-            _fastpath.InstanceLookupCache() if self.config.fastpath else None
-        )
-        self._image_cache = (
-            _fastpath.ImagePartitionCache() if self.config.fastpath else None
-        )
+        # Host-side caches (repro.legion.fastpath): the version-checked
+        # instance lookup cache, the epoch-keyed image-partition cache,
+        # the constraint-solve memo consulted by launch_task,
+        # per-region-uid reference counts over the deferred window, and
+        # the in-flight batched-write map (region name -> (coherence,
+        # [(mem_uid, rect, t)])) that _execute defers per-color
+        # mark_written calls into.
+        self._lookup_cache = _fastpath.InstanceLookupCache()
+        self._image_cache = _fastpath.ImagePartitionCache()
         self._solve_memo = _fastpath.SolveMemo()
         self._window_refs: Dict[int, int] = {}
         self._pending_writes: Optional[dict] = None
         if self.timeline is not None:
             # Live references: save() then serializes the totals as of
             # export time without extra plumbing.
-            self.timeline.meta["fastpath"] = self.config.fastpath
             self.timeline.meta["host_phases"] = (
                 self.profiler.host_phase_seconds
             )
@@ -437,7 +409,7 @@ class Runtime:
         * **the recovery journal** — journaled tasks referencing the
           previous program's (possibly freed) regions would be replayed
           into the next program's state after a loss;
-        * **``fusion_log`` / ``autoformat_log``** — unbounded growth,
+        * **``fusion_log``** — unbounded growth,
           and one tenant's op-stream shape visible to the next
           (a cross-tenant information leak in a serving context);
         * **the tracing hook and any in-flight batched writes**.
@@ -468,15 +440,12 @@ class Runtime:
         self._freed_uids.clear()
         self._launches_since_ckpt = 0
         self.fusion_log.clear()
-        self.autoformat_log.clear()
         if clear_caches:
             self._fusion_cache.clear()
             self._nest_cache.clear()
             self._solve_memo.clear()
-            if self._lookup_cache is not None:
-                self._lookup_cache.clear()
-            if self._image_cache is not None:
-                self._image_cache.clear()
+            self._lookup_cache.clear()
+            self._image_cache.clear()
 
     # ------------------------------------------------------------------
     # Region management
@@ -531,18 +500,9 @@ class Runtime:
         dropping its last handle frees it too."""
         if self._journaling:
             self._freed_uids.add(region.uid)
-        if self.config.fastpath:
-            # O(1) window-reference check: launch() counts each pending
-            # launch's region uids into _window_refs (cleared when the
-            # window swaps out for flushing).
-            referenced = self._window_refs.get(region.uid, 0) > 0
-        else:
-            referenced = any(
-                req.region.uid == region.uid
-                for task in self._window
-                for req in task.requirements
-            )
-        if referenced:
+        # launch() counts each pending launch's region uids into
+        # _window_refs (cleared when the window swaps out for flushing).
+        if self._window_refs.get(region.uid, 0) > 0:
             self._deferred_frees.append(region.uid)
         else:
             self._coherence.pop(region.uid, None)
@@ -727,11 +687,10 @@ class Runtime:
             self.flush_window()
             return self._execute(task)
         self._window.append(task)
-        if self.config.fastpath:
-            refs = self._window_refs
-            for req in task.requirements:
-                uid = req.region.uid
-                refs[uid] = refs.get(uid, 0) + 1
+        refs = self._window_refs
+        for req in task.requirements:
+            uid = req.region.uid
+            refs[uid] = refs.get(uid, 0) + 1
         if len(self._window) >= self.config.fusion_window:
             self.flush_window()
         return None
@@ -805,12 +764,10 @@ class Runtime:
                     )
                     nest = self._nest_cache.get(nest_key)
                     if nest is None:
-                        nplan = depend.build_nest_plan(group, elide_uids)
+                        nplan = depend.build_nest_plan(group)
                         nest = codegen.generate_nest(nplan)
                         self._nest_cache[nest_key] = nest
-                    self.profiler.record_kernel_merge(
-                        len(plan.indices), nest.temps_eliminated
-                    )
+                    self.profiler.record_kernel_merge()
                 merged = fusion.fuse(group, elide_uids, nest=nest)
                 self.profiler.record_fusion(len(plan.indices), len(plan.elide))
                 self._execute(merged)
@@ -842,20 +799,20 @@ class Runtime:
             return self._execute_task(task, replay)
         except BaseException:
             # A shard failure mid-launch must not leave batched
-            # coherence writes dangling: replay them sequentially so
-            # the region tree holds the exact slow-path partial state.
+            # coherence writes dangling: replay them in color order so
+            # the region tree holds the exact per-color partial state.
             self._flush_pending_writes()
             raise
 
     def _flush_pending_writes(self) -> None:
-        """Apply deferred coherence writes sequentially (slow-path order).
+        """Apply deferred coherence writes sequentially (color order).
 
         Called when something needs the region tree mid-launch — memory
         pressure relief scans every region's coherence, and an exception
         abandons the launch with writes already performed.  Replaying
         the deferred ``(memory, rect, time)`` triples through
         ``mark_written`` in issue order reproduces the exact partial
-        state the slow path would hold at this point.
+        state per-color ``mark_written`` calls would hold at this point.
         """
         pending = self._pending_writes
         if pending is None:
@@ -908,26 +865,22 @@ class Runtime:
         partial_times: List[float] = []
         reduce_writes: Dict[str, List[Tuple[Rect, Memory, float]]] = {}
 
-        # Host fast path: requirements whose final coherence state is
-        # independent of per-color write order (sole toucher of its
-        # region, disjoint Tiling over that region) defer their writes
-        # and apply them in one batch after the color loop — turning the
-        # O(colors^2) incremental invalidation into one linear pass.
-        if self.config.fastpath:
-            # Any task write to a region invalidates cached images of
-            # it (images read region data at solve time).
-            image_cache = self._image_cache
-            for req in task.requirements:
-                if req.privilege.writes:
-                    image_cache.bump(req.region.uid)
-            eligible = _fastpath.eligible_write_reqs(
-                task, replay, self._freed_uids
-            )
-            if eligible:
-                self._pending_writes = {
-                    name: (self.coherence(req.region), [])
-                    for name, req in eligible.items()
-                }
+        # Any task write to a region invalidates cached images of it
+        # (images read region data at solve time).
+        for req in task.requirements:
+            if req.privilege.writes:
+                self._image_cache.bump(req.region.uid)
+        # Requirements whose final coherence state is independent of
+        # per-color write order (sole toucher of its region, disjoint
+        # Tiling over that region) defer their writes and apply them in
+        # one batch after the color loop — turning the O(colors^2)
+        # incremental invalidation into one linear pass.
+        eligible = _fastpath.eligible_write_reqs(task, replay, self._freed_uids)
+        if eligible:
+            self._pending_writes = {
+                name: (self.coherence(req.region), [])
+                for name, req in eligible.items()
+            }
         map_s = 0.0
         event_s = 0.0
 
@@ -1213,27 +1166,25 @@ class Runtime:
                     )
                 t_input += pause
                 continue
+            # Version-checked hit: the memory's instance set has not
+            # changed since this (memory, region, rect) resolved, so
+            # ensure() would find-hit the same instance.  Replicate its
+            # LRU side effect and skip the search.
             cache = self._lookup_cache
-            if cache is not None:
-                # Version-checked hit: the memory's instance set has not
-                # changed since this (memory, region, rect) resolved, so
-                # ensure() would find-hit the same instance.  Replicate
-                # its LRU side effect and skip the search.
-                st = self.instances.state(memory)
-                key = (memory.uid, req.region.uid, rect)
-                inst = cache.get(key, st.version)
-                if inst is not None:
-                    st.touch(inst)
-                    self.profiler.fastpath_counters["lookup_hits"] += 1
-                    return inst, 0, False, t_input
+            st = self.instances.state(memory)
+            key = (memory.uid, req.region.uid, rect)
+            inst = cache.get(key, st.version)
+            if inst is not None:
+                st.touch(inst)
+                self.profiler.fastpath_counters["lookup_hits"] += 1
+                return inst, 0, False, t_input
             try:
                 inst, resize_bytes, fresh = self.instances.ensure(
                     memory, req.region.uid, rect, req.region.itemsize,
                     scale=self._mem_scale(req.region),
                 )
-                if cache is not None:
-                    cache.put(key, inst, st.version)
-                    self.profiler.fastpath_counters["lookup_misses"] += 1
+                cache.put(key, inst, st.version)
+                self.profiler.fastpath_counters["lookup_misses"] += 1
                 return inst, resize_bytes, fresh, t_input
             except OutOfMemoryError as exc:
                 if not self.config.spill:
@@ -1635,15 +1586,11 @@ class Runtime:
         owner = task.fold_partition or Tiling.create(req.region, colors)
         coh = self.coherence(req.region)
         procs = self.scope.processors
-        # Host fast path: the fold loop reads no coherence, and a Tiling
-        # owner covers the region with disjoint tiles, so the per-color
-        # mark_written calls can be batched into one write_complete.
+        # The fold loop reads no coherence, and a Tiling owner covers the
+        # region with disjoint tiles, so the per-color mark_written calls
+        # can be batched into one write_complete.
         batch: Optional[List[Tuple[int, Rect, float]]] = None
-        if (
-            self.config.fastpath
-            and type(owner) is Tiling
-            and owner.region.uid == req.region.uid
-        ):
+        if type(owner) is Tiling and owner.region.uid == req.region.uid:
             batch = []
         try:
             self._fold_loop(

@@ -284,23 +284,15 @@ class TestNestPlan:
             self._req("a", 6, Privilege.READ),
             self._req("b", 5, Privilege.READ),
         )
-        plan = depend.build_nest_plan(
-            [fill, mul, add],
-            elide_uids=frozenset({5, 6}),
-            dead_uids=frozenset({5}),
-        )
+        plan = depend.build_nest_plan([fill, mul, add])
         s0, s1, s2 = plan.steps
-        # Dead elided temp: value only, no store; live elided temp and
-        # the real output both store.
-        assert (s0.store, s1.store, s2.store) == (False, True, True)
-        assert plan.temps_eliminated == 1
         # In-group RAW loads resolve to producing steps, not views.
         assert ("var", 0) in s1.program
         assert ("var", 1) in s2.program and ("var", 0) in s2.program
-        # No external region is read at all here; writes are deduped
-        # and exclude the never-materialized temp.
+        # No external region is read at all here; every step's output
+        # is charged once.
         assert plan.reads == ()
-        assert plan.charged_writes == ("1.out", "2.out")
+        assert plan.charged_writes == ("0.out", "1.out", "2.out")
         # Flop weights match the sub cost models: fill 0, ufuncs 1.
         assert [s.weight for s in plan.steps] == [0.0, 1.0, 1.0]
         # Mangled names match fuse()'s "<i>.<name>" scheme.
@@ -317,7 +309,7 @@ class TestNestPlan:
             self._req("out", 3, Privilege.WRITE_DISCARD),
             self._req("a", 1, Privilege.READ),
         )
-        plan = depend.build_nest_plan([t1, t2], elide_uids=frozenset())
+        plan = depend.build_nest_plan([t1, t2])
         assert plan.reads == ("0.a",)  # region 1 charged once
         assert plan.charged_writes == ("0.out", "1.out")
 
@@ -326,4 +318,4 @@ class TestNestPlan:
             "mystery", None, self._req("out", 1, Privilege.WRITE_DISCARD)
         )
         with pytest.raises(ValueError, match="no body IR"):
-            depend.build_nest_plan([bad], elide_uids=frozenset())
+            depend.build_nest_plan([bad])

@@ -85,7 +85,7 @@ class TestBitwiseMatvec:
         y_csr = _host(A @ x)
         y_fmt = _host(A.asformat(fmt) @ x)
         # Bitwise, not allclose: the kernels replay CSR's accumulation
-        # order exactly (the autoformat hook depends on this).
+        # order exactly, so converting an operand never changes results.
         assert np.array_equal(y_csr, y_fmt)
 
     def test_sell_custom_c_sigma(self, rt):

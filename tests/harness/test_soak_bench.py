@@ -1,6 +1,10 @@
 """Soak fuzzer harness: determinism, invariant judging, payload shape."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from repro.harness.soak_bench import (
     _FAMILIES,
@@ -83,3 +87,15 @@ def test_run_soak_payload_shape_and_invariant():
     assert payload["summary"]["node0_loss_replicated_survivals"] >= 1
     for rec in payload["scenarios"]:
         assert rec["invariant_ok"]
+
+
+def test_soak_script_refuses_to_shrink_committed_payload():
+    """scripts/soak.py must not overwrite BENCH_soak.json with a smoke
+    run: fewer than the default scenarios need an explicit --output."""
+    script = Path(__file__).resolve().parents[2] / "scripts" / "soak.py"
+    soak = runpy.run_path(str(script))
+    committed = soak["COMMITTED"].read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        soak["main"](["--scenarios", "1"])
+    assert exc.value.code == 2
+    assert soak["COMMITTED"].read_bytes() == committed

@@ -1,22 +1,26 @@
-"""Host fast path: bitwise neutrality + cache invalidation proofs.
+"""Host-side caches: bitwise neutrality + cache invalidation proofs.
 
-``RuntimeConfig.fastpath`` (see ``repro.legion.fastpath``) is pure
-host-side mechanism — batched coherence writes, a version-checked
-instance lookup cache, a positional constraint-solve memo and an
-epoch-keyed image-partition cache.  Everything here pins down the two
+The runtime's host-side mechanism (see ``repro.legion.fastpath``) —
+batched coherence writes, a version-checked instance lookup cache, a
+positional constraint-solve memo and an epoch-keyed image-partition
+cache — is pure host-side work.  Everything here pins down the two
 properties the design hangs on:
 
-* **bitwise neutrality** — identical numerics, modeled times and
-  event-log shapes with the fast path on vs off, including under
-  spill, eviction, chaos loss + journal replay and validation mode;
+* **bitwise neutrality** — numerics, modeled times, event-log shapes
+  and spill/fault counters equal reference values recorded from the
+  original per-requirement analyses, including under spill, eviction,
+  chaos loss + journal replay and validation mode;
 * **invalidation** — every cache observes the mutations that could
   make it stale (memory version bumps, write epochs, key-partition
   changes) and never pins region lifetimes.
 """
 
 import gc
+import hashlib
+import json
 import random
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,124 +466,148 @@ class TestEligibleWriteReqs:
 # ----------------------------------------------------------------------
 # End-to-end bitwise neutrality
 # ----------------------------------------------------------------------
-def _cg_pair(procs=2, nodes=1, validate=False, chaos=None, grid=GRID):
-    """One CG solve per mode; returns {mode: (x, modeled, runtime)}."""
+# Reference summaries of every scenario below, recorded from the
+# original per-requirement analyses (the command is the file's
+# "_capture" entry).  The caches must reproduce them bit for bit.
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parent / "data" / "fastpath_reference.json")
+    .read_text()
+)
+
+
+def _cg(procs=2, nodes=1, grid=GRID, validate=False, **config):
+    """One CG solve; returns (x, modeled seconds, runtime)."""
+    rt = Runtime(
+        summit(nodes=nodes).scope(
+            ProcessorKind.GPU, procs, per_node=min(procs, 2)
+        ),
+        RuntimeConfig.legate(validate=validate, **config),
+    )
+    with runtime_scope(rt):
+        A = sp.csr_matrix(poisson2d_scipy(grid))
+        b = rnp.ones(grid * grid)
+        sp.linalg.cg(A, b, rtol=0.0, maxiter=1)  # warm-up
+        t0 = rt.barrier()
+        x, _ = sp.linalg.cg(A, b, rtol=0.0, maxiter=ITERS)
+        t1 = rt.barrier()
+        return x.to_numpy().copy(), t1 - t0, rt
+
+
+def _spill(**config):
+    """Over-capacity run: spill/evict churn on a 1 MiB framebuffer."""
+    machine = Machine(MachineConfig(
+        nodes=1, sockets_per_node=1, gpus_per_node=2,
+        gpu_memory=1 << 20, sysmem_per_node=2 << 30,
+    ))
+    rt = Runtime(
+        machine.scope(ProcessorKind.GPU, 1), RuntimeConfig.legate(**config)
+    )
+    with runtime_scope(rt):
+        n = 30_000
+        arrays = []
+        for i in range(6):
+            arrays.append(rnp.full(n, float(i + 1)))
+            rt.barrier()
+        total = rnp.zeros(n)
+        rt.barrier()
+        for a in arrays:
+            total = total + a
+            rt.barrier()
+        t = rt.barrier()
+        return total.to_numpy().copy(), t, rt
+
+
+def _loss(kind, at):
+    return ChaosConfig(checkpoint_every=16, losses=(LossSchedule(kind, 1, at),))
+
+
+def _summary(run):
+    x, t, rt = run
+    p = rt.profiler
+    return {
+        "solution_sha256": hashlib.sha256(x.tobytes()).hexdigest(),
+        "modeled_time_s": t,
+        "events": rt.event_log.stats() if rt.event_log is not None else None,
+        "evictions": p.evictions,
+        "spills": p.spills,
+        "eviction_bytes": p.eviction_bytes,
+        "spill_bytes": p.spill_bytes,
+        "faults_injected": {k: v for k, v in p.faults_injected.items() if v},
+        "tasks_reexecuted": p.tasks_reexecuted,
+    }
+
+
+# name -> run(ref, **config); loss scenarios strike halfway through
+# their fault-free baseline, whose summary ``ref`` already holds.
+SCENARIOS = {
+    "cg": lambda ref, **c: _cg(**c),
+    "cg-validated": lambda ref, **c: _cg(validate=True, **c),
+    "spill-eviction": lambda ref, **c: _spill(**c),
+    "gpu-loss": lambda ref, **c: _cg(
+        chaos=_loss("gpu", ref["cg"]["modeled_time_s"] / 2), **c
+    ),
+    "cg-2node": lambda ref, **c: _cg(nodes=2, **c),
+    "node-loss": lambda ref, **c: _cg(
+        nodes=2, chaos=_loss("node", ref["cg-2node"]["modeled_time_s"] / 2), **c
+    ),
+    "validate-chaos": lambda ref, **c: _cg(
+        validate=True, chaos=_loss("gpu", ref["cg"]["modeled_time_s"] / 2), **c
+    ),
+}
+
+
+def capture(**config):
+    """Every scenario's summary under ``RuntimeConfig.legate(**config)``."""
     out = {}
-    for fastpath in (True, False):
-        rt = Runtime(
-            summit(nodes=nodes).scope(
-                ProcessorKind.GPU, procs, per_node=min(procs, 2)
-            ),
-            RuntimeConfig.legate(
-                fastpath=fastpath, validate=validate, chaos=chaos
-            ),
-        )
-        with runtime_scope(rt):
-            A = sp.csr_matrix(poisson2d_scipy(grid))
-            b = rnp.ones(grid * grid)
-            sp.linalg.cg(A, b, rtol=0.0, maxiter=1)  # warm-up
-            t0 = rt.barrier()
-            x, _ = sp.linalg.cg(A, b, rtol=0.0, maxiter=ITERS)
-            t1 = rt.barrier()
-            out[fastpath] = (x.to_numpy().copy(), t1 - t0, rt)
+    for name, run in SCENARIOS.items():
+        out[name] = _summary(run(out, **config))
     return out
 
 
-def _assert_pair_identical(pair):
-    x_on, t_on, _ = pair[True]
-    x_off, t_off, _ = pair[False]
-    np.testing.assert_array_equal(x_on, x_off)
-    assert t_on == t_off
+def _run(name):
+    """Run one scenario and assert it reproduces its reference summary."""
+    run = SCENARIOS[name](REFERENCE)
+    got = _summary(run)
+    if REFERENCE[name]["events"] is None:
+        got["events"] = None  # REPRO_VALIDATE=1 logs every run
+    assert got == REFERENCE[name], name
+    return run[2]
 
 
 class TestBitwiseNeutrality:
     def test_cg_identical_and_checker_clean(self):
-        pair = _cg_pair(validate=True)
-        _assert_pair_identical(pair)
-        for mode in (True, False):
-            rt = pair[mode][2]
-            assert not check_log(rt.event_log), f"fastpath={mode} not clean"
-        # Same event-log shape, on vs off (uids differ run to run, so
-        # compare counts per kind, not raw lines).
-        assert pair[True][2].event_log.stats() == pair[False][2].event_log.stats()
-        counters = pair[True][2].profiler.fastpath_counters
+        rt = _run("cg-validated")
+        assert not check_log(rt.event_log)
+        counters = rt.profiler.fastpath_counters
         assert counters["batched_writes"] > 0
         assert counters["solve_hits"] > 0
+        # Validation does not change the answer or the modeled time.
+        for key in ("solution_sha256", "modeled_time_s"):
+            assert REFERENCE["cg-validated"][key] == REFERENCE["cg"][key]
 
     def test_spill_and_eviction_identical(self):
-        """Over-capacity run: spill/evict churn must not diverge modes."""
-        machine = Machine(MachineConfig(
-            nodes=1, sockets_per_node=1, gpus_per_node=2,
-            gpu_memory=1 << 20, sysmem_per_node=2 << 30,
-        ))
-        results = {}
-        for fastpath in (True, False):
-            rt = Runtime(
-                machine.scope(ProcessorKind.GPU, 1),
-                RuntimeConfig.legate(fastpath=fastpath),
-            )
-            with runtime_scope(rt):
-                n = 30_000
-                arrays = []
-                for i in range(6):
-                    arrays.append(rnp.full(n, float(i + 1)))
-                    rt.barrier()
-                total = rnp.zeros(n)
-                rt.barrier()
-                for a in arrays:
-                    total = total + a
-                    rt.barrier()
-                t = rt.barrier()
-                results[fastpath] = (total.to_numpy().copy(), t, rt.profiler)
-            assert rt.profiler.evictions + rt.profiler.spills > 0
-        np.testing.assert_array_equal(results[True][0], results[False][0])
-        assert results[True][1] == results[False][1]
-        for attr in ("evictions", "spills", "eviction_bytes", "spill_bytes"):
-            assert getattr(results[True][2], attr) == getattr(
-                results[False][2], attr
-            ), attr
+        rt = _run("spill-eviction")
+        assert rt.profiler.evictions + rt.profiler.spills > 0
 
     def test_gpu_loss_replay_identical(self):
-        baseline = _cg_pair()
-        _assert_pair_identical(baseline)
-        _, t_model, _ = baseline[True]
-        chaos = ChaosConfig(
-            checkpoint_every=16,
-            losses=(LossSchedule("gpu", 1, t_model / 2),),
+        _run("cg")
+        rt = _run("gpu-loss")
+        assert rt.profiler.faults_injected["gpu-loss"] == 1
+        assert rt.profiler.tasks_reexecuted > 0
+        assert (
+            REFERENCE["gpu-loss"]["solution_sha256"]
+            == REFERENCE["cg"]["solution_sha256"]
         )
-        pair = _cg_pair(chaos=chaos)
-        _assert_pair_identical(pair)
-        np.testing.assert_array_equal(baseline[True][0], pair[True][0])
-        for mode in (True, False):
-            rt = pair[mode][2]
-            assert rt.profiler.faults_injected["gpu-loss"] == 1
-            assert rt.profiler.tasks_reexecuted > 0
 
     def test_node_loss_replay_identical(self):
-        baseline = _cg_pair(procs=2, nodes=2)
-        _, t_model, _ = baseline[True]
-        chaos = ChaosConfig(
-            checkpoint_every=16,
-            losses=(LossSchedule("node", 1, t_model / 2),),
+        _run("cg-2node")
+        rt = _run("node-loss")
+        assert rt.profiler.tasks_reexecuted > 0
+        assert (
+            REFERENCE["node-loss"]["solution_sha256"]
+            == REFERENCE["cg-2node"]["solution_sha256"]
         )
-        pair = _cg_pair(procs=2, nodes=2, chaos=chaos)
-        _assert_pair_identical(pair)
-        np.testing.assert_array_equal(baseline[True][0], pair[True][0])
-        assert pair[True][2].profiler.tasks_reexecuted > 0
 
     def test_validate_mode_with_chaos_identical(self):
-        _, t_model, _ = _cg_pair()[True]
-        chaos = ChaosConfig(
-            checkpoint_every=16,
-            losses=(LossSchedule("gpu", 1, t_model / 2),),
-        )
-        pair = _cg_pair(validate=True, chaos=chaos)
-        _assert_pair_identical(pair)
-        for mode in (True, False):
-            assert not check_log(pair[mode][2].event_log)
-
-    def test_paper_config_pins_fastpath_off(self):
-        from repro.harness.config import paper_legate
-
-        assert paper_legate().fastpath is False
-        assert RuntimeConfig.legate().fastpath is True
+        rt = _run("validate-chaos")
+        assert not check_log(rt.event_log)

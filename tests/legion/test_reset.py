@@ -87,14 +87,12 @@ def test_reset_without_journaling_skips_checkpoint():
     assert rt.profiler.checkpoints == 0
 
 
-def test_reset_clears_fusion_and_autoformat_logs():
-    rt = _runtime(autoformat=True)
+def test_reset_clears_fusion_log():
+    rt = _runtime()
     _program(rt, 0)
     rt.fusion_log.append(("sentinel",))
-    rt.autoformat_log.append(("sentinel",))
     rt.reset_for_program()
     assert rt.fusion_log == []
-    assert rt.autoformat_log == []
 
 
 def test_reset_keeps_structural_caches_warm_by_default():

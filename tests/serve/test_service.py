@@ -183,7 +183,6 @@ def test_isolated_domain_resets_between_request_programs():
     # per-program accounting leaks into the next request.
     assert drt._launches_since_ckpt == 0
     assert not drt.fusion_log
-    assert not drt.autoformat_log
 
 
 # ----------------------------------------------------------------------
